@@ -12,26 +12,16 @@ once the window exceeds the typical queue backlog per rotation.
 """
 
 from repro.bench import ResultTable
-from repro.simnet import LinkProfile
 from repro.totem import TotemCluster, TotemConfig
 
 WINDOWS = [1, 4, 16, 64]
 BURST = 200
-BATCH_WINDOW = 16
-
-# Profile for the batching ablation: per-packet cost must be visible for
-# batching to matter.  ``per_hop_overhead`` models the UDP/IP/Ethernet
-# headers plus the per-packet kernel path (interrupt, buffer handling) that
-# a hardware-multicast batch pays once instead of ``window`` times; the
-# 10 Mb/s bandwidth matches the older shared-segment LANs of the paper's
-# era, where serialization -- not propagation -- dominated burst drains.
-BATCH_PROFILE = dict(bandwidth=1.25e6, per_hop_overhead=256)
 
 
-def run_one(window, seed=0, profile=None, step=0.01, **config_overrides):
-    config = TotemConfig(window=window, **config_overrides)
+def run_one(window, seed=0):
+    config = TotemConfig(window=window)
     cluster = TotemCluster(["n1", "n2", "n3", "n4"], seed=seed,
-                           profile=profile, config=config).start()
+                           config=config).start()
     cluster.run_until_stable(timeout=5.0)
     sim = cluster.sim
     start = sim.now
@@ -47,7 +37,7 @@ def run_one(window, seed=0, profile=None, step=0.01, **config_overrides):
 
     deadline = sim.now + 120.0
     while sim.now < deadline and delivered("n4") < BURST:
-        sim.run_for(step)
+        sim.run_for(0.01)
     assert delivered("n4") == BURST
     return sim.now - start
 
@@ -75,33 +65,3 @@ def test_a2_totem_window(benchmark):
     assert all(b <= a * 1.05 for a, b in zip(times, times[1:]))
     # Window 1 is dramatically slower than the largest window.
     assert times[0] > times[-1] * 3
-
-
-def test_a2_batching_ablation(benchmark):
-    """Opportunistic batching: one framed batch per token visit vs one
-    broadcast per message, at the same flow-control window."""
-
-    def experiment():
-        return {
-            mode: run_one(BATCH_WINDOW, batching=batching,
-                          profile=LinkProfile(**BATCH_PROFILE), step=0.001)
-            for mode, batching in [("batching on", True), ("batching off", False)]
-        }
-
-    results = benchmark.pedantic(experiment, rounds=1, iterations=1)
-
-    table = ResultTable(
-        "A2b: burst drain time with/without Totem batching "
-        "(4-ring, 200 messages, window=%d)" % BATCH_WINDOW,
-        ["mode", "drain time", "vs unbatched"],
-    )
-    base = results["batching off"]
-    for mode in ("batching off", "batching on"):
-        table.add_row(mode, results[mode], "%.2fx" % (base / results[mode]))
-    table.note("batching coalesces every message of a token visit into one "
-               "framed broadcast: one simnet transmission and one per-hop "
-               "overhead instead of `window` of each")
-    table.emit("a2_totem_batching")
-
-    # The acceptance bar: batching must buy at least 20% at this workload.
-    assert results["batching on"] <= results["batching off"] * 0.8

@@ -2,6 +2,8 @@
 
 import math
 
+from repro.telemetry.metrics import percentile
+
 
 class LatencyStats:
     """Summary statistics of a latency sample, in virtual seconds."""
@@ -25,15 +27,6 @@ class LatencyStats:
         return "LatencyStats(n=%d, mean=%.6f, p95=%.6f)" % (
             self.count, self.mean, self.p95,
         )
-
-
-def percentile(sorted_values, fraction):
-    """Nearest-rank percentile on an already-sorted sample."""
-    if not sorted_values:
-        raise ValueError("empty sample")
-    rank = max(0, min(len(sorted_values) - 1,
-                      int(math.ceil(fraction * len(sorted_values))) - 1))
-    return sorted_values[rank]
 
 
 def summarize(latencies):

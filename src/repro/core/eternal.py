@@ -111,8 +111,7 @@ class EternalSystem:
     """A cluster running the fault-tolerant CORBA stack on one runtime."""
 
     def __init__(self, node_ids, seed=0, profile=None, totem_config=None,
-                 domain="ft-domain", wire_codec=None, batching=None,
-                 runtime=None, rings=None):
+                 domain="ft-domain", runtime=None, rings=None):
         self.runtime = runtime if runtime is not None else SimRuntime(
             seed=seed, profile=profile
         )
@@ -126,17 +125,8 @@ class EternalSystem:
         # Simulation-only conveniences (None on real-socket runtimes).
         self.sim = getattr(self.runtime, "sim", None)
         self.net = getattr(self.runtime, "net", None)
-        self.telemetry = getattr(self.runtime, "telemetry", None)
+        self.telemetry = self.runtime.telemetry
         self.totem_config = totem_config or TotemConfig()
-        # Convenience toggles for the repro.wire message path (ablation
-        # without building a TotemConfig by hand).
-        overrides = {}
-        if wire_codec is not None:
-            overrides["wire_codec"] = wire_codec
-        if batching is not None:
-            overrides["batching"] = batching
-        if overrides:
-            self.totem_config = self.totem_config.copy(**overrides)
         self.domain = domain
         self.manager = ReplicationManager(domain, ring_map=self.ring_map)
         self.nodes = {}

@@ -71,6 +71,7 @@ class HeartbeatFaultDetector:
                  on_fault=None):
         self.orb = orb
         self.ep = orb.ep
+        self._telemetry = self.ep.telemetry
         self.interval = interval
         self.timeout = timeout if timeout is not None else interval
         self.miss_threshold = miss_threshold
@@ -152,10 +153,8 @@ class HeartbeatFaultDetector:
             if fut.exception() is None and self._reply_ok(fut.result()):
                 target.misses = 0
                 target.last_ok = self.ep.now
-                telemetry = getattr(self.ep, "telemetry", None)
-                if telemetry is not None:
-                    telemetry.metrics.histogram("ftdet.rtt").record(
-                        self.ep.now - sent, at=self.ep.now)
+                self._telemetry.metrics.histogram("ftdet.rtt").record(
+                    self.ep.now - sent, at=self.ep.now)
                 self._on_reply_ok(target, fut, sent)
             else:
                 target.misses += 1

@@ -29,17 +29,15 @@ class Gateway:
         self.ep = engine.ep
         self.exports = {}
         self.tier = tier
-        self._telemetry = getattr(self.ep, "telemetry", None)
+        self._telemetry = self.ep.telemetry
         self._forwarded_local = 0
         self.orb.poa.default_handler = self._handle
 
     @property
     def forwarded(self):
-        """Forwarded-request count, backed by the ``gateway.forwarded``
-        counter (runtime-wide) when telemetry is present."""
-        if self._telemetry is not None:
-            return self._telemetry.metrics.counter("gateway.forwarded").value
-        return self._forwarded_local
+        """Forwarded-request count: the runtime-wide ``gateway.forwarded``
+        counter."""
+        return self._telemetry.metrics.counter("gateway.forwarded").value
 
     def export(self, group_ior, type_id=None):
         """Expose a group reference as a plain IIOP reference.
@@ -55,10 +53,8 @@ class Gateway:
         if object_key in self.exports:
             self.ep.emit("gateway.export.replaced", {"key": object_key})
         self.exports[object_key] = group_ior
-        if self._telemetry is not None:
-            self._telemetry.metrics.gauge("gateway.exports").set(
-                len(self.exports)
-            )
+        self._telemetry.metrics.gauge("gateway.exports").set(
+            len(self.exports))
         profile = IIOPProfile(self.orb.node_id, self.orb.port, object_key)
         return IOR(type_id or group_ior.type_id, [profile])
 
@@ -67,8 +63,7 @@ class Gateway:
         if group_ior is None:
             return False
         self._forwarded_local += 1
-        if self._telemetry is not None:
-            self._telemetry.metrics.counter("gateway.forwarded").inc()
+        self._telemetry.metrics.counter("gateway.forwarded").inc()
         self.ep.emit("gateway.forward", {"key": request.object_key,
                                           "op": request.operation})
         read_context = request.service_context.get("read")

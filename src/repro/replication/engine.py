@@ -130,6 +130,7 @@ class ReplicationEngine:
                  ring_map=None):
         self.orb = orb
         self.ep = orb.ep
+        self._telemetry = self.ep.telemetry
         self.node_id = orb.node_id
         self.domain = domain
         if isinstance(group_member, dict):
@@ -352,12 +353,10 @@ class ReplicationEngine:
         # The invocation span opens here -- this is the interception point
         # where the request left the ORB for the group communication path.
         span = None
-        telemetry = getattr(self.ep, "telemetry", None)
         if request.response_expected:
-            if telemetry is not None:
-                span = span_id_for_operation(operation_id)
-                telemetry.span_start(span, self.ep.now,
-                                     ring=self._ring_of(group))
+            span = span_id_for_operation(operation_id)
+            self._telemetry.span_start(span, self.ep.now,
+                                       ring=self._ring_of(group))
             self.pending[operation_id] = (request.request_id, future)
             self.orb._pending[request.request_id] = future
             self._arm_request_retry(group, client_group, operation_id, data, 0)
@@ -539,10 +538,8 @@ class ReplicationEngine:
         if entry is None:
             return False
         request_id, future = entry
-        telemetry = getattr(self.ep, "telemetry", None)
-        if telemetry is not None:
-            telemetry.span_finish(span_id_for_operation(operation_id),
-                                  self.ep.now)
+        self._telemetry.span_finish(span_id_for_operation(operation_id),
+                                    self.ep.now)
         self.orb.forget_pending(request_id)
         self.orb.resolve_future_from_reply(future, reply)
         return True
@@ -688,10 +685,8 @@ class ReplicationEngine:
             reply_bytes = encode_message(reply)
         replica.complete(operation_id, pending.request_bytes,
                          pending.client_group, reply_bytes)
-        telemetry = getattr(self.ep, "telemetry", None)
-        if telemetry is not None:
-            telemetry.span_mark(span_id_for_operation(operation_id),
-                                "executed", self.ep.now)
+        self._telemetry.span_mark(span_id_for_operation(operation_id),
+                                  "executed", self.ep.now)
         self.ep.emit("ft.op.executed", {"group": replica.group,
                                          "node": self.node_id})
         style = replica.policy.style
@@ -1281,9 +1276,7 @@ class ReplicationEngine:
                 size=_ENVELOPE_OVERHEAD,
             )
             transfer.stats.finished_at = self.ep.now
-            telemetry = getattr(self.ep, "telemetry", None)
-            if telemetry is not None:
-                transfer.stats.record_to(telemetry.metrics)
+            transfer.stats.record_to(self._telemetry.metrics)
             done()
 
     # ------------------------------------------------------------------

@@ -152,6 +152,7 @@ class ReadCoordinator:
     def __init__(self, engine):
         self.engine = engine
         self.ep = engine.ep
+        self._telemetry = self.ep.telemetry
         self._inflight = {}   # target node -> reads currently outstanding
         self.served = 0
         self.fallbacks = 0
@@ -265,10 +266,8 @@ class ReadCoordinator:
             if exc is not None:
                 future.set_exception(exc)
                 return
-            telemetry = getattr(self.ep, "telemetry", None)
-            if telemetry is not None:
-                telemetry.metrics.histogram("read.latency.local").record(
-                    self.ep.now - started)
+            self._telemetry.metrics.histogram("read.latency.local").record(
+                self.ep.now - started)
             future.set_result(fut.result())
 
         attempt.add_done_callback(complete)

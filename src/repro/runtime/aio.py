@@ -16,24 +16,11 @@ wall-clock and delivery is as reliable as the kernel's loopback.
 
 Timers are ``loop.call_later`` with the same incarnation guard simnet
 nodes apply: a timer armed before an endpoint crash/recovery never
-fires afterwards.  ``timer_slack`` optionally coalesces nearby timer
-deadlines onto a shared grid so the protocol stacks' many periodic
-timers (token loss, heartbeats, fault detectors) wake the loop in
-batches instead of one wakeup each.
-
-The receive path comes in two flavours.  The default uses asyncio's
-datagram protocol (one callback per datagram).  ``buffered_recv=True``
-instead runs one explicit recv loop per socket that reuses a single
-preallocated buffer via ``loop.sock_recvfrom_into`` -- one kernel copy
-into a stable buffer, no per-datagram protocol-object churn.  The
-buffered path is gated on the running loop actually providing the
-sock_recvfrom APIs and silently falls back to the protocol path
-otherwise, so it is safe to request everywhere.
+fires afterwards.  Datagrams arrive through asyncio's datagram protocol
+(one callback per datagram) on the stdlib event loop.
 """
 
 import asyncio
-import math
-import socket as _socket
 
 from repro.runtime.base import Endpoint, Runtime
 from repro.simnet.errors import UnknownNodeError
@@ -42,7 +29,6 @@ from repro.simnet.trace import TraceLog
 from repro.telemetry import Telemetry
 
 _MAX_PORT_NAME = 255
-_RECV_BUFFER_BYTES = 65536
 
 # Port names are a handful of short constants ("totem", "orb", ...), so
 # the length-prefixed name header is cached per port: steady-state
@@ -67,29 +53,12 @@ def _frame_datagram(port, payload):
     prefix = _port_prefix(port)
     if not isinstance(payload, (bytes, bytearray, memoryview)):
         raise TypeError(
-            "real-socket runtime requires bytes payloads (got %s); "
-            "enable the wire codec" % type(payload).__name__
+            "real-socket runtime requires bytes payloads (got %s)"
+            % type(payload).__name__
         )
     if type(payload) is bytes:
         return prefix + payload
     return b"".join((prefix, payload))
-
-
-def _new_event_loop(prefer_uvloop=False):
-    """A fresh event loop, on uvloop when requested *and* installed.
-
-    uvloop is an optional accelerator, never a dependency: when the
-    import fails the stock asyncio loop is returned and everything
-    behaves identically (just slower under datagram load).
-    """
-    if prefer_uvloop:
-        try:
-            import uvloop
-        except ImportError:
-            pass
-        else:
-            return uvloop.new_event_loop()
-    return asyncio.new_event_loop()
 
 
 def _unframe_datagram(data):
@@ -122,63 +91,6 @@ class _EndpointProtocol(asyncio.DatagramProtocol):
 
     def error_received(self, exc):
         self.endpoint.emit("net.error", {"error": str(exc)})
-
-
-class _RawSocketTransport:
-    """Transport facade over a plain non-blocking UDP socket.
-
-    Presents the sliver of the asyncio transport interface the endpoint
-    uses (``sendto``/``get_extra_info``/``close``) so the buffered-recv
-    path and the protocol path share all the endpoint code.
-    """
-
-    __slots__ = ("sock", "task")
-
-    def __init__(self, sock):
-        self.sock = sock
-        self.task = None
-
-    def sendto(self, data, addr):
-        try:
-            self.sock.sendto(data, addr)
-        except (BlockingIOError, InterruptedError):
-            # A full kernel send buffer is a UDP drop; the protocols
-            # already tolerate lossy links.
-            pass
-
-    def get_extra_info(self, name, default=None):
-        if name == "sockname":
-            return self.sock.getsockname()
-        return default
-
-    def close(self):
-        if self.task is not None:
-            self.task.cancel()
-            self.task = None
-        self.sock.close()
-
-
-async def _buffered_recv_loop(endpoint, sock, loop):
-    """One recv loop per socket, reusing a single preallocated buffer."""
-    recv_into = getattr(loop, "sock_recvfrom_into", None)
-    buf = bytearray(_RECV_BUFFER_BYTES)
-    view = memoryview(buf)
-    while True:
-        try:
-            if recv_into is not None:
-                nbytes, addr = await recv_into(sock, buf)
-                # One copy out of the reused buffer: handlers may retain
-                # payload slices past this iteration, the buffer may not.
-                data = bytes(view[:nbytes])
-            else:
-                data, addr = await loop.sock_recvfrom(
-                    sock, _RECV_BUFFER_BYTES)
-        except asyncio.CancelledError:
-            return
-        except OSError as exc:
-            endpoint.emit("net.error", {"error": str(exc)})
-            return
-        endpoint._datagram_received(data, addr)
 
 
 class AsyncioEndpoint(Endpoint):
@@ -214,7 +126,7 @@ class AsyncioEndpoint(Endpoint):
                     and self.incarnation == incarnation):
                 callback()
 
-        timer.handle = self.runtime.call_after(delay, guarded)
+        timer.handle = self.runtime.loop.call_later(max(delay, 0.0), guarded)
         return timer
 
     def emit(self, category, detail=None, size=0):
@@ -314,19 +226,10 @@ class AsyncioEndpoint(Endpoint):
 class AsyncioRuntime(Runtime):
     """Runtime driving the protocol cores with real sockets and time."""
 
-    def __init__(self, seed=0, loop=None, host="127.0.0.1",
-                 prefer_uvloop=False, timer_slack=0.0, buffered_recv=False):
-        if loop is not None:
-            self.loop = loop
-        else:
-            self.loop = _new_event_loop(prefer_uvloop)
+    def __init__(self, seed=0, loop=None, host="127.0.0.1"):
+        self.loop = loop if loop is not None else asyncio.new_event_loop()
         self._owns_loop = loop is None
         self.host = host
-        if timer_slack < 0.0:
-            raise ValueError(
-                "timer_slack must be >= 0, got %r" % (timer_slack,))
-        self.timer_slack = timer_slack
-        self.buffered_recv = buffered_recv
         self.trace = TraceLog()
         self.telemetry = Telemetry(self.trace)
         self.rng = RngStreams(seed)
@@ -334,23 +237,6 @@ class AsyncioRuntime(Runtime):
         self._addresses = {}   # node id -> (host, port), local and remote
         self._addr_to_node = {}
         self._closed = False
-
-    def call_after(self, delay, callback):
-        """``call_later`` with optional deadline coalescing.
-
-        With ``timer_slack`` set, deadlines round up to the next multiple
-        of the slack so timers due within the same slack window share one
-        loop wakeup -- a coalesced timer wheel in spirit.  Protocol
-        periods here are tens of milliseconds, so a sub-millisecond slack
-        trades no observable behaviour for far fewer wakeups.
-        """
-        delay = max(delay, 0.0)
-        slack = self.timer_slack
-        if slack <= 0.0:
-            return self.loop.call_later(delay, callback)
-        deadline = self.loop.time() + delay
-        return self.loop.call_at(math.ceil(deadline / slack) * slack,
-                                 callback)
 
     # -- topology -------------------------------------------------------
 
@@ -363,20 +249,12 @@ class AsyncioRuntime(Runtime):
         if node_id in self._addresses:
             raise ValueError("duplicate node id: %r" % (node_id,))
         endpoint = AsyncioEndpoint(self, node_id)
-        if self.buffered_recv and hasattr(self.loop, "sock_recvfrom"):
-            sock = _socket.socket(_socket.AF_INET, _socket.SOCK_DGRAM)
-            sock.setblocking(False)
-            sock.bind((self.host, port))
-            transport = _RawSocketTransport(sock)
-            transport.task = self.loop.create_task(
-                _buffered_recv_loop(endpoint, sock, self.loop))
-        else:
-            transport, _protocol = self.loop.run_until_complete(
-                self.loop.create_datagram_endpoint(
-                    lambda: _EndpointProtocol(endpoint),
-                    local_addr=(self.host, port),
-                )
+        transport, _protocol = self.loop.run_until_complete(
+            self.loop.create_datagram_endpoint(
+                lambda: _EndpointProtocol(endpoint),
+                local_addr=(self.host, port),
             )
+        )
         endpoint._transport = transport
         endpoint.address = transport.get_extra_info("sockname")[:2]
         self.endpoints[node_id] = endpoint
@@ -483,8 +361,7 @@ class AsyncioRuntime(Runtime):
         self._closed = True
         for endpoint in self.endpoints.values():
             endpoint.close()
-        # Let transport close callbacks and recv-loop cancellations run
-        # before tearing the loop down.
+        # Let transport close callbacks run before tearing the loop down.
         self.loop.run_until_complete(asyncio.sleep(0))
         self.loop.run_until_complete(asyncio.sleep(0))
         if self._owns_loop:

@@ -22,9 +22,10 @@ Contract notes:
   lets the same cores run over lossy simnet links and real UDP alike.
 - ``timer`` callbacks are incarnation-guarded: a timer armed before a
   crash or restart of its endpoint never fires afterwards.
-- Payloads must be bytes-like for runtime portability.  The simulated
-  runtime tolerates arbitrary Python objects (the legacy
-  ``wire_codec=False`` ablation path); real-socket runtimes reject them.
+- Payloads are bytes-like (``bytes``, ``bytearray`` or ``memoryview``).
+  Real-socket runtimes reject anything else at ``send``; a protocol core
+  handed a non-bytes payload by its port handler counts a wire error
+  and drops it.
 """
 
 
@@ -47,9 +48,8 @@ class Endpoint:
       :mod:`repro.telemetry.events` (enforced by the registry lint test).
     - ``telemetry``: the runtime's shared
       :class:`~repro.telemetry.Telemetry` bundle (metrics registry, span
-      tracker, flight recorder), or None on minimal endpoints.  Protocol
-      cores must tolerate its absence
-      (``getattr(self.ep, "telemetry", None)``).
+      tracker, flight recorder).  Required: protocol cores read it once
+      at construction and use it unguarded.
     - ``bind(port, handler)`` / ``unbind(port)``: attach
       ``handler(src_id, payload, size)`` to a named datagram port.
     - ``send(dst, port, data, size=None)``: unicast a datagram.
@@ -60,7 +60,6 @@ class Endpoint:
     """
 
     node_id = None
-    telemetry = None
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, self.node_id)

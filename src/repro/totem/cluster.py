@@ -25,7 +25,7 @@ class TotemCluster:
         # Simulation-only conveniences (None on real-socket runtimes).
         self.sim = getattr(self.runtime, "sim", None)
         self.net = getattr(self.runtime, "net", None)
-        self.telemetry = getattr(self.runtime, "telemetry", None)
+        self.telemetry = self.runtime.telemetry
         self.config = config or TotemConfig()
         self.processors = {}
         self.groups = {}

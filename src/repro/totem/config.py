@@ -13,8 +13,13 @@ class RetransmitBudgetExceeded(RuntimeError):
 class TotemConfig:
     """Protocol parameters for one :class:`~repro.totem.TotemProcessor`.
 
+    Every protocol message is encoded into :mod:`repro.wire` frames, and
+    all regular messages broadcast during one token visit travel as one
+    framed batch; neither is configurable.
+
     Attributes:
-        token_hold: processing delay before forwarding the token, seconds.
+        token_hold: processing delay before forwarding the token, seconds
+            (the pipelined path forwards with zero hold instead).
         token_retransmit_timeout: how long the last token sender waits for
             evidence of progress before resending the token.
         token_retransmit_limit: resend attempts before declaring token loss.
@@ -31,21 +36,10 @@ class TotemConfig:
         recovery_attempt_limit: re-request rounds before giving up on a
             recovery and re-running the membership protocol.
         window: maximum new messages a processor may broadcast per token
-            visit (flow control).
-        max_message_bytes: size attributed to protocol-only messages (token,
-            join, commit) for the network's serialization model when the
-            wire codec is disabled; with the codec on, the actual encoded
-            frame length is used instead.
+            visit (flow control).  The pipelined path flushes its whole
+            queue and uses ``window`` only to cap messages per datagram.
         beacon_interval: period of the representative's ring-advertisement
             broadcast, which is how remerged components discover each other.
-        wire_codec: encode every protocol message into :mod:`repro.wire`
-            frames before handing it to the network (sizes become the
-            actual encoded byte counts).  Disabling falls back to shipping
-            Python objects with estimated sizes (legacy mode, kept for
-            ablation).
-        batching: coalesce all regular messages broadcast during one token
-            visit into a single framed batch (one network event, one
-            per-hop overhead).  Requires ``wire_codec``.
         retransmit_budget: optional per-run cap on total retransmissions
             (data rebroadcasts plus token/commit resends) charged to the
             runtime-wide ``totem.retransmit.budget`` counter.  When the
@@ -54,35 +48,22 @@ class TotemConfig:
             storm (the campaign-sweep seed-5 blowup) into a prompt,
             attributable failure instead of minutes of silent churn.
             ``None`` (the default) never trips; the counter still counts.
-        pipelining: overlap ordering with delivery (default off; requires
-            ``wire_codec`` and ``batching``).  A pipelined token visit
-            flushes the *whole* send queue as one framed batch (batching
-            across invocations, not capped by ``window``), inserts and
-            delivers the sender's own messages the moment their sequence
-            numbers are settled (instead of waiting for the loopback
-            self-delivery), forwards the token *before* broadcasting the
-            data batch and with zero hold (the token never queues behind
-            payload serialization), and gives first-seen sequence gaps a
-            one-visit grace before requesting retransmission (the token
-            now outruns in-flight data by design).  The grace also ends
-            the default path's spurious rebroadcast of every fresh
-            message -- the sender's own seqs are in its store before the
-            rtr scan runs.  Off, the token visit is byte-identical to
-            the pre-pipelining protocol.
-        join_damping: damp membership-broadcast fan-out during prolonged
-            churn (default on).  The first ``join_burst`` Join sends of a
-            gather phase broadcast exactly as before -- quiet ring
-            formations never notice.  Beyond the burst, Join sends are
-            paced at least ``join_min_spacing`` apart (excess triggers
-            one deferred, coalesced resend) and all but every
-            ``join_discovery_period``-th are unicast to the known
-            candidate set instead of broadcast, so a churn storm stops
-            hammering every co-hosted ring's endpoint while discovery
-            (the periodic broadcast share) still works.
-        join_burst: Join sends per gather phase before damping engages.
-        join_min_spacing: minimum seconds between damped Join sends.
-        join_discovery_period: every Nth damped Join send is still a
-            broadcast (merge/discovery traffic); the rest are unicast.
+        pipelining: overlap ordering with delivery (default off).
+            ``send`` disseminates the payload bytes at once and the token
+            visit orders them with a small stub.  A pipelined token visit
+            flushes the *whole* send queue (batching across invocations,
+            not capped by ``window``), inserts and delivers the sender's
+            own messages the moment their sequence numbers are settled
+            (instead of waiting for the loopback self-delivery),
+            broadcasts the stubs and data *before* forwarding the token
+            -- so downstream nodes hold the ordered messages when the
+            token reaches them -- forwards the token with zero hold, and
+            gives first-seen sequence gaps a one-visit grace before
+            requesting retransmission.  The grace also ends the default
+            path's rebroadcast of every fresh message: the sender's own
+            seqs are in its store before the rtr scan runs.  Off, the
+            token visit emits exactly what ``tests/golden_datapath.json``
+            pins.
     """
 
     def __init__(
@@ -97,16 +78,9 @@ class TotemConfig:
         recovery_retry_timeout=0.02,
         recovery_attempt_limit=10,
         window=64,
-        max_message_bytes=128,
         beacon_interval=0.05,
-        wire_codec=True,
-        batching=True,
         retransmit_budget=None,
         pipelining=False,
-        join_damping=True,
-        join_burst=16,
-        join_min_spacing=2.5e-3,
-        join_discovery_period=4,
     ):
         self.token_hold = token_hold
         self.token_retransmit_timeout = token_retransmit_timeout
@@ -118,16 +92,9 @@ class TotemConfig:
         self.recovery_retry_timeout = recovery_retry_timeout
         self.recovery_attempt_limit = recovery_attempt_limit
         self.window = window
-        self.max_message_bytes = max_message_bytes
         self.beacon_interval = beacon_interval
-        self.wire_codec = wire_codec
-        self.batching = batching
         self.retransmit_budget = retransmit_budget
         self.pipelining = pipelining
-        self.join_damping = join_damping
-        self.join_burst = join_burst
-        self.join_min_spacing = join_min_spacing
-        self.join_discovery_period = join_discovery_period
 
     def copy(self, **overrides):
         """A copy of this config with selected fields replaced."""

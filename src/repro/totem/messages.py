@@ -183,12 +183,6 @@ class Token:
         self.rotation_min = rotation_min
         self.safe_seq = safe_seq
 
-    def copy(self):
-        return Token(
-            self.ring, self.token_id, self.seq, set(self.rtr),
-            self.rotation_min, self.safe_seq,
-        )
-
     def encode_wire(self, enc):
         self.ring.encode_wire(enc)
         enc.ulong(self.token_id).ulong(self.seq)
@@ -435,9 +429,6 @@ class CommitToken:
         self.infos = dict(infos) if infos else {}
         self.complete = complete
         self.hop = hop
-
-    def copy(self):
-        return CommitToken(self.ring, dict(self.infos), self.complete, self.hop)
 
     def encode_wire(self, enc):
         self.ring.encode_wire(enc)

@@ -38,11 +38,17 @@ from repro.totem.messages import (
     RingId,
     Token,
 )
+from repro.totem.ringmux import PORT, datagram_ring
 from repro.wire.codec import decode_payload
 from repro.wire.codec import encode as wire_encode
-from repro.wire.framing import WireFormatError, encode_batch, peek_ring
+from repro.wire.framing import WireFormatError, encode_batch
 
-PORT = "totem"
+# Join damping (see ``_broadcast_join``): Join sends per gather phase
+# before damping engages; minimum seconds between damped sends; every Nth
+# damped send is still a broadcast (merge/discovery traffic).
+JOIN_BURST = 16
+JOIN_MIN_SPACING = 2.5e-3
+JOIN_DISCOVERY_PERIOD = 4
 
 
 class _RingStore:
@@ -112,6 +118,7 @@ class TotemProcessor:
     def __init__(self, network, node=None, config=None, on_deliver=None,
                  on_config=None, ring_id=0, mux=None):
         self.ep = endpoint_of(network, node)
+        self._telemetry = self.ep.telemetry
         self.config = config if config is not None else TotemConfig()
         self.on_deliver = on_deliver or (lambda msg: None)
         self.on_config = on_config or (lambda event: None)
@@ -169,8 +176,7 @@ class TotemProcessor:
         """
         if guarantee not in ("agreed", "safe"):
             raise ValueError("guarantee must be 'agreed' or 'safe'")
-        config = self.config
-        if config.pipelining and config.wire_codec and config.batching:
+        if self.config.pipelining:
             # Pipelined data path: disseminate the payload bytes NOW, so
             # serialization and transit overlap the wait for the token;
             # the token visit later settles the order with a tiny stub.
@@ -191,9 +197,7 @@ class TotemProcessor:
         else:
             self.send_queue.append((payload, size, guarantee, span))
         if span is not None:
-            telemetry = getattr(self.ep, "telemetry", None)
-            if telemetry is not None:
-                telemetry.span_mark(span, "enqueue", self.ep.now)
+            self._telemetry.span_mark(span, "enqueue", self.ep.now)
         self._unpark_token()
 
     def cancel_queued(self, predicate):
@@ -235,8 +239,6 @@ class TotemProcessor:
         self.max_ring_seq = 0
         self.last_token_id = 0
         # Token retransmission bookkeeping.
-        self._forwarded_token = None
-        self._forwarded_token_data = None
         self._parked_token = None
         self._token_retransmits = 0
         self._progress_seen = False
@@ -270,7 +272,6 @@ class TotemProcessor:
         self.pending_store = None
         self._consensus_fail_set = frozenset()
         self._commit_sent = None
-        self._commit_data = None
         self._commit_retransmits = 0
         self._commit_progress = False
         self._commit_timer = None
@@ -319,78 +320,53 @@ class TotemProcessor:
     def _on_message(self, src, payload, size):
         """Direct-bind entry point: filter foreign-ring frames, then decode.
 
-        Every datagram's frames all carry the sender ring's id, so peeking
-        the first header suffices.  The mux performs this same routing for
-        co-hosted rings; here it protects a single-ring node from traffic
-        of rings it does not run (broadcast reaches every node).
+        The mux performs this same routing for co-hosted rings; here it
+        protects a single-ring node from traffic of rings it does not run
+        (broadcast reaches every node).
         """
-        if isinstance(payload, (bytes, bytearray, memoryview)):
-            try:
-                ring = peek_ring(payload)
-            except WireFormatError as err:
-                self.ep.emit(
-                    "totem.wire.error",
-                    {"node": self.node_id, "error": str(err)},
-                )
-                return
-            if ring != self.ring_id:
-                self.ep.emit(
-                    "totem.ring.mismatch",
-                    {"node": self.node_id, "ring_id": ring, "src": src},
-                )
-                return
+        ring = datagram_ring(self.ep, payload)
+        if ring is None:
+            return
+        if ring != self.ring_id:
+            self.ep.emit(
+                "totem.ring.mismatch",
+                {"node": self.node_id, "ring_id": ring, "src": src},
+            )
+            return
         self._on_frames(src, payload, size)
 
     def _on_frames(self, src, payload, size):
+        """Decode a datagram already routed to this ring and dispatch each
+        message -- a batch frame carries several."""
         if self.state == "down":
             return
-        if isinstance(payload, (bytes, bytearray, memoryview)):
-            # Framed traffic (the default): decode, then dispatch each
-            # message -- a batch frame carries several.
-            try:
-                messages = decode_payload(payload)
-            except WireFormatError as err:
-                self.ep.emit(
-                    "totem.wire.error",
-                    {"node": self.node_id, "error": str(err)},
-                )
-                return
-            for message in messages:
-                if self.state == "down":
-                    break
-                self._dispatch(src, message)
-        else:
-            # Legacy mode (wire_codec=False): raw message objects.
-            self._dispatch(src, payload)
-
-    def _dispatch(self, src, payload):
-        handler = self._handlers.get(type(payload))
-        if handler is not None:
-            handler(src, payload)
+        try:
+            messages = decode_payload(payload)
+        except WireFormatError as err:
+            self.ep.emit(
+                "totem.wire.error",
+                {"node": self.node_id, "error": str(err)},
+            )
+            return
+        for message in messages:
+            if self.state == "down":
+                break
+            handler = self._handlers.get(type(message))
+            if handler is not None:
+                handler(src, message)
 
     def _count(self, name, n=1):
         """Bump a telemetry counter, caching the metric object per name."""
         counter = self._counters.get(name)
         if counter is None:
-            telemetry = getattr(self.ep, "telemetry", None)
-            if telemetry is None:
-                return
-            counter = telemetry.metrics.counter(name)
+            counter = self._telemetry.metrics.counter(name)
             self._counters[name] = counter
         counter.inc(n)
 
-    def _broadcast(self, message, size):
-        """Broadcast one protocol message.
-
-        With the wire codec on (the default), ``message`` is encoded into a
-        frame and the simulated size is the actual encoded length; ``size``
-        (the legacy estimate) is only used with ``wire_codec=False``.
-        """
-        if self.config.wire_codec:
-            data = wire_encode(message, ring=self.ring_id)
-            self.ep.broadcast(PORT, data, size=len(data))
-        else:
-            self.ep.broadcast(PORT, message, size=size)
+    def _broadcast(self, message):
+        """Encode one protocol message and broadcast the frame."""
+        data = wire_encode(message, ring=self.ring_id)
+        self.ep.broadcast(PORT, data, size=len(data))
 
     def _charge_retransmit(self):
         """Count one retransmission against the run's shared budget.
@@ -402,22 +378,13 @@ class TotemProcessor:
         :class:`~repro.totem.config.RetransmitBudgetExceeded` -- the
         guard that turns a retransmission storm into a prompt failure.
         """
-        telemetry = getattr(self.ep, "telemetry", None)
-        if telemetry is None:
-            return
-        spent = telemetry.metrics.counter("totem.retransmit.budget").inc()
+        spent = self._telemetry.metrics.counter(
+            "totem.retransmit.budget").inc()
         budget = self.config.retransmit_budget
         if budget is not None and spent > budget:
             raise RetransmitBudgetExceeded(
                 "retransmission budget exhausted: %d > %d (node %s, ring %s)"
                 % (spent, budget, self.node_id, self.ring_id))
-
-    def _unicast(self, dst, message, size):
-        if self.config.wire_codec:
-            data = wire_encode(message, ring=self.ring_id)
-            self.ep.send(dst, PORT, data, size=len(data))
-        else:
-            self.ep.send(dst, PORT, message, size=size)
 
     def _rebroadcast(self, store, msg):
         """Re-broadcast a stored message in answer to an rtr/recovery
@@ -425,9 +392,6 @@ class TotemProcessor:
         (the bytes are receiver-independent, so each sequence number is
         encoded at most once per store no matter how often it is
         re-requested)."""
-        if not self.config.wire_codec:
-            self.ep.broadcast(PORT, msg.copy_for_retransmit(), size=msg.size)
-            return
         data = store.retransmit_cache.get(msg.seq) if store is not None else None
         if data is None:
             data = wire_encode(msg.copy_for_retransmit(), ring=self.ring_id)
@@ -509,9 +473,7 @@ class TotemProcessor:
 
     def _deliver(self, msg, transitional):
         if msg.span is not None:
-            telemetry = getattr(self.ep, "telemetry", None)
-            if telemetry is not None:
-                telemetry.span_mark(msg.span, "delivered", self.ep.now)
+            self._telemetry.span_mark(msg.span, "delivered", self.ep.now)
         self.ep.emit(
             "totem.deliver",
             {"node": self.node_id, "seq": msg.seq, "ring_id": self.ring_id},
@@ -604,29 +566,24 @@ class TotemProcessor:
                 self._rebroadcast(store, msg)
                 token.rtr.discard(seq)
 
-        if config.pipelining and config.wire_codec and config.batching:
+        if config.pipelining:
             self._pipelined_token_visit(token, store, config)
             return
 
-        # 2. Broadcast queued messages, consuming sequence numbers.  With
-        # batching on, every message of this token visit is coalesced into
-        # one framed batch: one simnet event and one per-hop overhead
-        # instead of `sent` of each, bounded by the flow-control window.
-        sent = 0
+        # 2. Broadcast queued messages, consuming sequence numbers.  Every
+        # message of this token visit is coalesced into one framed batch:
+        # one simnet event and one per-hop overhead instead of one of each
+        # per message, bounded by the flow-control window.
         batch = []
-        telemetry = getattr(self.ep, "telemetry", None)
-        while self.send_queue and sent < config.window:
+        telemetry = self._telemetry
+        while self.send_queue and len(batch) < config.window:
             payload, size, guarantee, span = self.send_queue.pop(0)
             token.seq += 1
             msg = DataMessage(self.ring, token.seq, self.node_id, payload, size,
                               guarantee, span=span)
-            if span is not None and telemetry is not None:
+            if span is not None:
                 telemetry.span_mark(span, "sent", self.ep.now)
-            if config.wire_codec and config.batching:
-                batch.append(wire_encode(msg, ring=self.ring_id))
-            else:
-                self._broadcast(msg, size)
-            sent += 1
+            batch.append(wire_encode(msg, ring=self.ring_id))
         if batch:
             data = (batch[0] if len(batch) == 1
                     else encode_batch(batch, ring=self.ring_id))
@@ -677,7 +634,7 @@ class TotemProcessor:
         rebroadcast of every fresh message, where the sender's own seqs
         were never in its store when the rtr scan ran.
         """
-        telemetry = getattr(self.ep, "telemetry", None)
+        telemetry = self._telemetry
         base_seq = token.seq
         batch = []
         stub_entries = []
@@ -687,7 +644,7 @@ class TotemProcessor:
             token.seq += 1
             msg = DataMessage(self.ring, token.seq, self.node_id, payload,
                               size, guarantee, span=span)
-            if span is not None and telemetry is not None:
+            if span is not None:
                 telemetry.span_mark(span, "sent", self.ep.now)
             if eager is not None and eager[0] == self.ring:
                 # Payload already disseminated on this ring: order it with
@@ -763,36 +720,27 @@ class TotemProcessor:
     def _forward_token(self, token):
         token.token_id += 1
         successor = self.ring.successor_of(self.node_id)
-        # Keep a private snapshot: the successor mutates the token object it
-        # receives, so retransmissions must come from our own copy.
-        snapshot = token.copy()
-        self._forwarded_token = snapshot
-        self._forwarded_token_data = None
         self._token_retransmits = 0
         self._progress_seen = False
         ring = self.ring
         config = self.config
-        size = config.max_message_bytes + 8 * len(token.rtr)
         if successor == self.node_id:
-            self._park_singleton_token(ring, snapshot)
+            self._park_singleton_token(ring, token)
             return
-        if config.wire_codec:
-            # Encode once: the scheduled forward and any retransmissions
-            # all send these same bytes (the snapshot never mutates).
-            data = wire_encode(snapshot, ring=self.ring_id)
-            self._forwarded_token_data = data
+        # Encode once: the scheduled forward and any retransmissions all
+        # send these same bytes, which are the snapshot of the token as it
+        # left this visit.
+        data = wire_encode(token, ring=self.ring_id)
 
-            def forward():
-                self.ep.send(successor, PORT, data, size=len(data))
-        else:
-            def forward():
-                self._unicast(successor, snapshot.copy(), size)
+        def forward():
+            self.ep.send(successor, PORT, data, size=len(data))
+
         if config.pipelining:
             # Zero hold: the successor's visit overlaps our delivery work.
             forward()
         else:
             self.ep.timer(config.token_hold, forward, "token.forward")
-        self._arm_token_retransmit(ring, successor, size)
+        self._arm_token_retransmit(ring, successor, data)
         self._arm_loss_timer()
 
     def _park_singleton_token(self, ring, token):
@@ -828,7 +776,7 @@ class TotemProcessor:
         self._parked_token = None
         self.ep.timer(0.0, lambda: self._handle_token(self.node_id, token), "token.unpark")
 
-    def _arm_token_retransmit(self, ring, successor, size):
+    def _arm_token_retransmit(self, ring, successor, data):
         if self._retransmit_timer is not None:
             self._retransmit_timer.cancel()
 
@@ -845,12 +793,8 @@ class TotemProcessor:
                 "totem.token.retransmit",
                 {"node": self.node_id, "ring_id": self.ring_id},
             )
-            data = self._forwarded_token_data
-            if data is not None:
-                self._count("wire.encode.cached")
-                self.ep.send(successor, PORT, data, size=len(data))
-            else:
-                self._unicast(successor, self._forwarded_token.copy(), size)
+            self._count("wire.encode.cached")
+            self.ep.send(successor, PORT, data, size=len(data))
             self._retransmit_timer = self.ep.timer(
                 self.config.token_retransmit_timeout, retransmit, "token.retry"
             )
@@ -907,20 +851,15 @@ class TotemProcessor:
             if self.state != "operational" or self.ring != ring:
                 return
             # Encode-once: the beacon is identical every beat of a ring.
-            if self.config.wire_codec:
-                cached = self._beacon_cache
-                if cached is not None and cached[0] == ring:
-                    data = cached[1]
-                    self._count("wire.encode.cached")
-                else:
-                    data = wire_encode(
-                        RingBeacon(ring, self.node_id), ring=self.ring_id)
-                    self._beacon_cache = (ring, data)
-                self.ep.broadcast(PORT, data, size=len(data))
+            cached = self._beacon_cache
+            if cached is not None and cached[0] == ring:
+                data = cached[1]
+                self._count("wire.encode.cached")
             else:
-                self._broadcast(
-                    RingBeacon(ring, self.node_id),
-                    self.config.max_message_bytes)
+                data = wire_encode(
+                    RingBeacon(ring, self.node_id), ring=self.ring_id)
+                self._beacon_cache = (ring, data)
+            self.ep.broadcast(PORT, data, size=len(data))
             self._arm_beacon_timer()
 
         self._beacon_timer = self.ep.timer(
@@ -973,41 +912,38 @@ class TotemProcessor:
     def _broadcast_join(self):
         """Send our Join, damping fan-out during prolonged churn.
 
-        The first ``join_burst`` sends of a gather phase broadcast
+        The first ``JOIN_BURST`` sends of a gather phase broadcast
         exactly as the protocol always has -- quiet ring formations are
         untouched.  Beyond the burst (a churn storm: Join cascades feed
         on each other and, with co-hosted rings, hammer every ring's
-        endpoint), sends are paced at least ``join_min_spacing`` apart
+        endpoint), sends are paced at least ``JOIN_MIN_SPACING`` apart
         -- excess calls coalesce into one deferred resend carrying the
-        latest sets -- and all but every ``join_discovery_period``-th
+        latest sets -- and all but every ``JOIN_DISCOVERY_PERIOD``-th
         are unicast to the candidate set instead of broadcast, keeping
         membership traffic ring-local while the periodic broadcast share
         still serves discovery.
         """
         join = self._own_join()
         self.joins[self.node_id] = join
-        size = self.config.max_message_bytes + 8 * (
-            len(join.proc_set) + len(join.fail_set))
-        config = self.config
-        if not (config.join_damping and self.state == "gather"):
-            self._send_join(join, size, broadcast=True)
+        if self.state != "gather":
+            self._send_join(join, broadcast=True)
             return
         self._join_sends += 1
-        if self._join_sends <= config.join_burst:
-            self._send_join(join, size, broadcast=True)
+        if self._join_sends <= JOIN_BURST:
+            self._send_join(join, broadcast=True)
             return
         now = self.ep.now
         last = self._last_join_time
-        if last is not None and now - last < config.join_min_spacing:
+        if last is not None and now - last < JOIN_MIN_SPACING:
             self._count("totem.join.damped")
             if self._join_deferred is None:
                 self._join_deferred = self.ep.timer(
-                    last + config.join_min_spacing - now,
+                    last + JOIN_MIN_SPACING - now,
                     self._flush_deferred_join,
                     "join.deferred",
                 )
             return
-        self._damped_join_send(join, size)
+        self._damped_join_send(join)
 
     def _flush_deferred_join(self):
         """The coalesced resend: fires once the spacing has elapsed and
@@ -1018,27 +954,18 @@ class TotemProcessor:
             return
         join = self._own_join()
         self.joins[self.node_id] = join
-        size = self.config.max_message_bytes + 8 * (
-            len(join.proc_set) + len(join.fail_set))
-        self._damped_join_send(join, size)
+        self._damped_join_send(join)
 
-    def _damped_join_send(self, join, size):
+    def _damped_join_send(self, join):
         self._join_damped_sends += 1
-        if self._join_damped_sends % self.config.join_discovery_period == 0:
-            self._send_join(join, size, broadcast=True)
+        if self._join_damped_sends % JOIN_DISCOVERY_PERIOD == 0:
+            self._send_join(join, broadcast=True)
         else:
             self._count("totem.join.unicast")
-            self._send_join(join, size, broadcast=False)
+            self._send_join(join, broadcast=False)
 
-    def _send_join(self, join, size, broadcast):
+    def _send_join(self, join, broadcast):
         self._last_join_time = self.ep.now
-        if not self.config.wire_codec:
-            if broadcast:
-                self.ep.broadcast(PORT, join, size=size)
-            else:
-                for peer in self._join_unicast_peers():
-                    self.ep.send(peer, PORT, join, size=size)
-            return
         # Encode-once: periodic rebroadcasts of an unchanged Join (the
         # common case while waiting out a consensus round) reuse the
         # cached frame.
@@ -1226,18 +1153,12 @@ class TotemProcessor:
     def _forward_commit(self, token):
         token.hop += 1
         successor = token.ring.successor_of(self.node_id)
-        size = self.config.max_message_bytes + 64 * len(token.infos)
-        self._commit_sent = (successor, token.copy(), size)
+        # Encode once; retries resend the same bytes.
+        data = wire_encode(token, ring=self.ring_id)
+        self._commit_sent = (successor, data)
         self._commit_retransmits = 0
         self._commit_progress = False
-        if self.config.wire_codec:
-            # Encode once; retries resend the same bytes.
-            data = wire_encode(token, ring=self.ring_id)
-            self._commit_data = data
-            self.ep.send(successor, PORT, data, size=len(data))
-        else:
-            self._commit_data = None
-            self._unicast(successor, token, size)
+        self.ep.send(successor, PORT, data, size=len(data))
         self._arm_commit_retry()
 
     def _arm_commit_retry(self):
@@ -1254,17 +1175,13 @@ class TotemProcessor:
                 return
             self._commit_retransmits += 1
             self._charge_retransmit()
-            successor, token, size = self._commit_sent
+            successor, data = self._commit_sent
             self.ep.emit(
                 "totem.commit.retransmit",
                 {"node": self.node_id, "ring_id": self.ring_id},
             )
-            data = self._commit_data
-            if data is not None:
-                self._count("wire.encode.cached")
-                self.ep.send(successor, PORT, data, size=len(data))
-            else:
-                self._unicast(successor, token.copy(), size)
+            self._count("wire.encode.cached")
+            self.ep.send(successor, PORT, data, size=len(data))
             self._arm_commit_retry()
 
         self._commit_retry_timer = self.ep.timer(
@@ -1315,9 +1232,8 @@ class TotemProcessor:
         if self.node_id == token.ring.representative:
             if len(token.infos) == len(token.ring.members):
                 token.complete = True
-                complete = token.copy()
                 self._forward_commit(token)
-                self._enter_recovery(complete)
+                self._enter_recovery(token)
             else:
                 # Someone's info is missing after a full rotation: restart.
                 self._enter_gather("incomplete commit rotation")
@@ -1410,7 +1326,7 @@ class TotemProcessor:
                 "totem.recovery.request",
                 {"node": self.node_id, "n": len(missing), "ring_id": self.ring_id},
             )
-            self._broadcast(request, self.config.max_message_bytes + 8 * len(missing))
+            self._broadcast(request)
             self._arm_recovery_timer()
 
         self._recovery_timer = self.ep.timer(
@@ -1447,9 +1363,7 @@ class TotemProcessor:
         done_set = self._done_received.setdefault(key, set())
         if self.node_id not in done_set:
             done_set.add(self.node_id)
-            self._broadcast(
-                RecoveryDone(key, self.node_id), self.config.max_message_bytes
-            )
+            self._broadcast(RecoveryDone(key, self.node_id))
         self._check_install()
 
     def _check_install(self):

@@ -13,14 +13,32 @@ Datagrams for a ring this node does not run are dropped with a
 reaches every node, so drops of foreign-ring traffic are routine, and
 the event counter is how per-ring traffic attribution sees them.
 
-Legacy object-mode traffic (``wire_codec=False``) carries no ring id and
-is routed to the lowest registered ring; multi-ring topologies require
-the wire codec.
+A datagram that is not a well-formed wire frame -- foreign magic,
+truncated header, or a payload that is not bytes at all -- is dropped
+with a ``totem.wire.error`` event and never reaches a processor.
 """
 
 from repro.wire.framing import WireFormatError, peek_ring
 
 PORT = "totem"
+
+
+def datagram_ring(ep, payload):
+    """The ring id stamped on a Totem datagram, or None when it is not a
+    wire frame (counted as a ``totem.wire.error`` drop).
+
+    Every datagram's frames all carry the sender ring's id, so peeking
+    the first header suffices.
+    """
+    if isinstance(payload, (bytes, bytearray, memoryview)):
+        try:
+            return peek_ring(payload)
+        except WireFormatError as err:
+            error = str(err)
+    else:
+        error = "payload is %s, not bytes" % type(payload).__name__
+    ep.emit("totem.wire.error", {"node": ep.node_id, "error": error})
+    return None
 
 
 class RingMux:
@@ -48,25 +66,16 @@ class RingMux:
         return tuple(sorted(self._handlers))
 
     def _on_message(self, src, payload, size):
-        if isinstance(payload, (bytes, bytearray, memoryview)):
-            try:
-                ring = peek_ring(payload)
-            except WireFormatError as err:
-                self.ep.emit(
-                    "totem.wire.error",
-                    {"node": self.node_id, "error": str(err)},
-                )
-                return
-            handler = self._handlers.get(ring)
-            if handler is None:
-                self.ep.emit(
-                    "totem.ring.mismatch",
-                    {"node": self.node_id, "ring_id": ring, "src": src},
-                )
-                return
-        else:
-            # Legacy raw-object mode has no ring field on the wire.
-            handler = self._handlers[min(self._handlers)]
+        ring = datagram_ring(self.ep, payload)
+        if ring is None:
+            return
+        handler = self._handlers.get(ring)
+        if handler is None:
+            self.ep.emit(
+                "totem.ring.mismatch",
+                {"node": self.node_id, "ring_id": ring, "src": src},
+            )
+            return
         handler(src, payload, size)
 
     def __repr__(self):

@@ -366,3 +366,35 @@ def test_peek_ring_rejects_malformed_header():
         peek_ring(frame[: HEADER_BYTES - 1])
     with pytest.raises(WireFormatError):
         peek_ring(b"XX" + frame[2:])
+
+
+@pytest.mark.parametrize("rings", [None, 2], ids=["single-ring", "ring-mux"])
+def test_totem_port_counts_and_drops_what_is_not_a_frame(rings):
+    """A raw Python object or a foreign-magic datagram on the Totem port
+    is a counted drop on the direct binding and behind the RingMux alike:
+    nothing escapes, nothing is dispatched, the ring keeps ordering."""
+    from repro.core import EternalSystem
+    from repro.replication import GroupPolicy, ReplicationStyle
+    from repro.workloads import Counter
+
+    system = EternalSystem(["n1", "n2", "n3", "c"], seed=7, rings=rings).start()
+    system.stabilize()
+    ior = system.create_replicated(
+        "g", Counter, ["n1", "n2", "n3"],
+        GroupPolicy(style=ReplicationStyle.ACTIVE))
+    system.run_for(0.5)
+    stub = system.stub("c", ior)
+    assert system.call(stub.increment(), timeout=30.0) == 1
+
+    ring = system.node("n1").processor.ring
+    frame = encode(Token(ring, token_id=10 ** 6), ring=0)
+    errors = system.sim.trace.count("totem.wire.error")
+    for hostile in (Token(ring, token_id=10 ** 6), ("token", 1), None,
+                    b"XX" + frame[2:], b""):
+        system.net.send("c", "n1", "totem", hostile)
+        system.run_for(0.01)
+        errors += 1
+        assert system.sim.trace.count("totem.wire.error") == errors
+
+    assert system.call(stub.increment(), timeout=30.0) == 2
+    assert set(system.states_of("g").values()) == {2}
