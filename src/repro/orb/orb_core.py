@@ -308,6 +308,8 @@ class ORB:
         # attributed to their parent operation (see repro.replication).
         self.current_context = None
         self._pending = {}
+        # request id -> handle of its armed ``orb.timeout`` timer.
+        self._timeouts = {}
         self._request_counter = 0
         self._acceptor = self.transport.listen(port, self._on_accept)
 
@@ -378,15 +380,20 @@ class ORB:
         limit = timeout if timeout is not None else self.request_timeout
 
         def expire():
-            future = self._pending.pop(request_id, None)
-            self._pending_meta.pop(request_id, None)
-            self._drop_route(request_id)
-            if future is not None:
-                future.set_exception(
-                    TimeoutError_("request %d (%s) after %.3fs" % (request_id, operation, limit))
-                )
+            self._fail_request(request_id, TimeoutError_(
+                "request %d (%s) after %.3fs" % (request_id, operation, limit)))
 
-        self.ep.timer(limit, expire, "orb.timeout")
+        self._timeouts[request_id] = self.ep.timer(limit, expire, "orb.timeout")
+
+    def _settle(self, request_id):
+        """The request resolved one way or another: drop its bookkeeping
+        (deadline timer included) and return its Future, if still pending."""
+        timer = self._timeouts.pop(request_id, None)
+        if timer is not None:
+            timer.cancel()
+        self._pending_meta.pop(request_id, None)
+        self._drop_route(request_id)
+        return self._pending.pop(request_id, None)
 
     def _drop_route(self, request_id):
         drop = getattr(self.router, "drop_route", None)
@@ -394,26 +401,20 @@ class ORB:
             drop(request_id)
 
     def _fail_request(self, request_id, error):
-        future = self._pending.pop(request_id, None)
-        self._pending_meta.pop(request_id, None)
-        self._drop_route(request_id)
+        future = self._settle(request_id)
         if future is not None:
             future.set_exception(error)
 
     def _fail_all_pending(self, error):
-        pending, self._pending = self._pending, {}
-        self._pending_meta.clear()
-        for request_id in pending:
-            self._drop_route(request_id)
-        for future in pending.values():
-            future.set_exception(error)
+        for request_id in list(self._pending):
+            self._fail_request(request_id, error)
 
     def _on_client_data(self, conn, data):
         message = decode_message(data)
         if isinstance(message, ReplyMessage):
             self.complete_reply(message)
         elif isinstance(message, LocateReplyMessage):
-            future = self._pending.pop(message.request_id, None)
+            future = self._settle(message.request_id)
             if future is not None:
                 future.set_result(message.locate_status)
 
@@ -423,11 +424,10 @@ class ORB:
         A LOCATION_FORWARD reply re-issues the original request at the
         forwarded reference on the same future, invisibly to the caller.
         """
-        future = self._pending.pop(reply.request_id, None)
-        meta = self._pending_meta.pop(reply.request_id, None)
+        meta = self._pending_meta.get(reply.request_id)
+        future = self._settle(reply.request_id)
         if future is None:
             return False
-        self._drop_route(reply.request_id)
         if reply.status == ReplyStatus.LOCATION_FORWARD and meta is not None:
             _old_target, original = meta
             forward = IOR.from_string(decode_value(reply.body))
@@ -466,9 +466,7 @@ class ORB:
 
     def forget_pending(self, request_id):
         """Drop a pending-future entry (its owner resolves it directly)."""
-        self._pending_meta.pop(request_id, None)
-        self._drop_route(request_id)
-        return self._pending.pop(request_id, None)
+        return self._settle(request_id)
 
     # ------------------------------------------------------------------
     # Server side

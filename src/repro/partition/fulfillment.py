@@ -1,36 +1,30 @@
 """Fulfillment operations: replaying secondary-component work at remerge."""
 
 
-def divergent_operations(completed_order, completed_journal, their_completed):
+def divergent_operations(journal, their_completed):
     """Operations we completed that the primary component never saw.
 
     Args:
-        completed_order: our operation ids in completion order.
-        completed_journal: op id -> (request_bytes, client_group); entries
-            with no recorded request bytes cannot be replayed and are
-            skipped (e.g. operations completed via a state update whose
-            request this replica never delivered).
-        their_completed: the primary component's completed op-id set, taken
-            from the adopted capture's infrastructure state.
+        journal: our ``(op id, request_bytes, client_group)`` entries in
+            completion order -- the operation table's journal, which holds
+            exactly the completed operations some host may still lack.
+            Entries with no recorded request bytes cannot be replayed and
+            are skipped.
+        their_completed: the primary component's completed operations (any
+            container answering ``in``), taken from the adopted capture's
+            infrastructure state.
 
     Returns a list of (op_id, request_bytes, client_group) in the original
     completion order.  Fulfillment re-executions of earlier fulfillment
     operations are excluded (an op id starting with ``"f"`` is already a
     fulfillment op).
     """
-    result = []
-    for operation_id in completed_order:
-        if operation_id in their_completed:
-            continue
-        if operation_id and operation_id[0] == "f":
-            continue
-        request_bytes, client_group = completed_journal.get(
-            operation_id, (None, None)
-        )
-        if request_bytes is None:
-            continue
-        result.append((operation_id, request_bytes, client_group))
-    return result
+    return [
+        entry for entry in journal
+        if entry[1] is not None
+        and entry[0] not in their_completed
+        and not (entry[0] and entry[0][0] == "f")
+    ]
 
 
 class FulfillmentPlan:

@@ -19,7 +19,7 @@ Layers (bottom to top):
   ordered membership views.
 """
 
-from repro.replication.duplicates import DuplicateTables
+from repro.replication.duplicates import OperationRecord, OperationTable
 from repro.replication.election import choose_primary, choose_state_sponsor, is_primary
 from repro.replication.engine import GroupRouter, ReplicationEngine
 from repro.replication.identifiers import (
@@ -33,12 +33,13 @@ from repro.replication.identifiers import (
 from repro.replication.leases import LeaseGrantor, LeaseManager, LeaseRenewer
 from repro.replication.manager import ObjectGroupRecord, ReplicationManager
 from repro.replication.reads import ReadConsistency, ReadCoordinator, ReadOptions
-from repro.replication.replica import LocalReplica, PendingRequest
+from repro.replication.replica import LocalReplica
 from repro.replication.rings import RingMap
 from repro.replication.styles import GroupPolicy, ReplicationStyle
 
 __all__ = [
-    "DuplicateTables",
+    "OperationRecord",
+    "OperationTable",
     "choose_primary",
     "choose_state_sponsor",
     "is_primary",
@@ -59,7 +60,6 @@ __all__ = [
     "ReadCoordinator",
     "ReadOptions",
     "LocalReplica",
-    "PendingRequest",
     "RingMap",
     "GroupPolicy",
     "ReplicationStyle",

@@ -22,13 +22,16 @@ Everything the engine decides is a deterministic function of the totally
 ordered delivery stream, which is what makes the replicas consistent.
 """
 
+from repro.orb.cdr import encode_value
 from repro.orb.giop import decode_message, encode_message
+from repro.orb.idl import interface_of
 from repro.partition.fulfillment import FulfillmentPlan, divergent_operations
 from repro.partition.primary import (
     derive_side_representative,
     should_adopt_capture,
 )
 from repro.orb.ior import IOR, FTGroupProfile
+from repro.replication.duplicates import COMPLETED, OperationTable
 from repro.replication.election import choose_primary
 from repro.replication.identifiers import (
     ExecutionContext,
@@ -37,7 +40,7 @@ from repro.replication.identifiers import (
 )
 from repro.replication.leases import LeaseGrantor, LeaseManager
 from repro.replication.reads import LocalReadPort, ReadCoordinator
-from repro.replication.replica import ExecutionTask, LocalReplica, PendingRequest
+from repro.replication.replica import ExecutionTask, LocalReplica
 from repro.replication.rings import RingMap
 from repro.replication.styles import GroupPolicy, ReplicationStyle
 from repro.state.three_tier import FullStateCapture
@@ -106,6 +109,20 @@ class GroupRouter:
         self.fallback.close()
 
 
+class _Invocation:
+    """A request issued here and awaiting its reply."""
+
+    __slots__ = ("request_id", "future", "ack_key", "retry_timer")
+
+    def __init__(self, request_id, future, ack_key=None):
+        self.request_id = request_id
+        self.future = future
+        # (destination group, client group) the resolution is owed to as
+        # an acknowledgement, if it can be acknowledged at all.
+        self.ack_key = ack_key
+        self.retry_timer = None
+
+
 class ReplicationEngine:
     """Eternal mechanisms at one node.
 
@@ -163,11 +180,20 @@ class ReplicationEngine:
         self.replicas = {}
         self.client_group = client_group or ("client/%s" % self.node_id)
         self.allocator = OperationIdAllocator(self.client_group)
-        # op id -> (orb request id, Future) awaiting a reply at this node.
+        # op id -> _Invocation awaiting a reply at this node.
         self.pending = {}
-        # Client-side suppression state (per client group this node is in).
-        self.client_seen_requests = set()
-        self.client_reply_cache = {}
+        # Client-side suppression state: operations of a client group this
+        # node is in that it may yet (re-)issue itself -> the delivered
+        # reply bytes, or None while only the request has been seen.
+        self.client_ops = {}
+        # Reply acknowledgements owed: (destination group, client group) ->
+        # sequence numbers of ("c", client group, n) operations resolved
+        # here since the last request sent there.
+        self._resolved = {}
+        # destination group -> last allocator sequence number sent there.
+        self._last_sent = {}
+        # (servant class, operation) -> does it modify state?
+        self._modifies = {}
         # Incremental-transfer reassembly: (group, sponsor, marker) -> assembler.
         self._assemblers = {}
         # Interception: divert group-addressed requests, keep the direct
@@ -210,8 +236,8 @@ class ReplicationEngine:
             self.orb.poa._servants.pop("group:%s" % group, None)
         self.replicas.clear()
         self.pending.clear()
-        self.client_seen_requests.clear()
-        self.client_reply_cache.clear()
+        self.client_ops.clear()
+        self._resolved.clear()
         self._assemblers.clear()
         self._cross_ring_client_joins.clear()
         self.leases.on_crash()
@@ -312,8 +338,6 @@ class ReplicationEngine:
         if isinstance(servant_or_type_id, str):
             type_id = servant_or_type_id
         else:
-            from repro.orb.idl import interface_of
-
             type_id = interface_of(servant_or_type_id).repository_id
         return IOR(type_id, [FTGroupProfile(self.domain, group)])
 
@@ -334,6 +358,7 @@ class ReplicationEngine:
         duplicate-suppressed domain-wide).
         """
         group = ior.group_profile().group_name
+        ack, ack_key = (), None
         if operation_id is None:
             context = self.orb.current_context
             if isinstance(context, ExecutionContext):
@@ -342,6 +367,9 @@ class ReplicationEngine:
             else:
                 operation_id = self.allocator.next_top_level()
                 client_group = client_group or self.client_group
+                if client_group == operation_id[1]:
+                    ack_key = (group, client_group)
+                    ack = self._take_ack(ack_key, operation_id[2])
         elif client_group is None:
             client_group = self.client_group
         request.service_context["FT"] = {
@@ -350,6 +378,8 @@ class ReplicationEngine:
             "dest": group,
         }
         data = encode_message(request)
+        payload = (REQUEST, group, client_group, operation_id, data, False,
+                   ack)
         # The invocation span opens here -- this is the interception point
         # where the request left the ORB for the group communication path.
         span = None
@@ -357,16 +387,18 @@ class ReplicationEngine:
             span = span_id_for_operation(operation_id)
             self._telemetry.span_start(span, self.ep.now,
                                        ring=self._ring_of(group))
-            self.pending[operation_id] = (request.request_id, future)
+            self.pending[operation_id] = _Invocation(request.request_id,
+                                                     future, ack_key)
             self.orb._pending[request.request_id] = future
-            self._arm_request_retry(group, client_group, operation_id, data, 0)
+            self._arm_request_retry(payload, 0)
         else:
             future.set_result(None)
+            self._note_resolved(ack_key, operation_id)
         # Sender-side suppression: a peer replica of this client may already
         # have multicast the same logical operation (we deliver everything
         # sent to our client group).
-        if operation_id in self.client_seen_requests:
-            cached = self.client_reply_cache.get(operation_id)
+        if operation_id in self.client_ops:
+            cached = self.client_ops[operation_id]
             if cached is not None and request.response_expected:
                 self._resolve_pending(operation_id, decode_message(cached))
             if self.sender_side_suppression:
@@ -376,11 +408,32 @@ class ReplicationEngine:
         self.ep.emit("ft.request.sent", {"group": group, "node": self.node_id})
         self._ensure_reply_membership(group, client_group)
         self._member_for(group).send(
-            (group, client_group),
-            (REQUEST, group, client_group, operation_id, data, False),
+            (group, client_group), payload,
             size=len(data) + _ENVELOPE_OVERHEAD,
             span=span,
         )
+
+    def _take_ack(self, ack_key, sequence):
+        """The ack field of request ``sequence`` to ``ack_key``'s group:
+        the previous sequence number this client sent *there* (its
+        allocator is shared across the groups it invokes; the ids in
+        between were never addressed there, so the server closes the gap),
+        then the sequence numbers resolved from there since.  Delivered in
+        total order, it releases those cached replies at every server
+        replica identically.  Only this node's own ``("c", client group,
+        n)`` ids are acknowledged: a nested or gateway-stamped operation
+        may be re-issued under the same id by another replica of the
+        invoker at any time, so its cached reply stays (see ROADMAP)."""
+        previous = self._last_sent.get(ack_key[0], 0)
+        self._last_sent[ack_key[0]] = sequence
+        acks = self._resolved.pop(ack_key, ())
+        return (previous, *acks) if previous or acks else ()
+
+    def _note_resolved(self, ack_key, operation_id):
+        """Owe the server group an acknowledgement of ``operation_id``."""
+        if ack_key is not None:
+            self.client_ops.pop(operation_id, None)
+            self._resolved.setdefault(ack_key, []).append(operation_id[2])
 
     def _ensure_reply_membership(self, server_group, client_group):
         """Join ``client_group`` on the server's ring when invoking across.
@@ -411,7 +464,6 @@ class ReplicationEngine:
         Returns the reply future.  Used by gateways forwarding decoded
         plain-IIOP requests with externally-derived operation ids.
         """
-        from repro.orb.cdr import encode_value
         from repro.orb.giop import RequestMessage
         from repro.orb.orb_core import Future
 
@@ -452,7 +504,7 @@ class ReplicationEngine:
         replica = self.replicas[context.group]
         operation_id = context.next_nested_id()
         if request.response_expected:
-            self.pending[operation_id] = (request.request_id, future)
+            self.pending[operation_id] = _Invocation(request.request_id, future)
             self.orb._pending[request.request_id] = future
         else:
             future.set_result(None)
@@ -512,36 +564,38 @@ class ReplicationEngine:
             self.ep.emit("ft.external.reissue", {"group": replica.group})
             self._perform_external(replica, operation_id, ior, request)
 
-    def _arm_request_retry(self, group, client_group, operation_id, data,
-                           attempt):
+    def _arm_request_retry(self, payload, attempt):
+        _, group, client_group, operation_id, data = payload[:5]
+        entry = self.pending[operation_id]
         if attempt >= self.request_retry_limit:
+            entry.retry_timer = None
             return
 
         def retry():
-            if operation_id not in self.pending:
+            if self.pending.get(operation_id) is not entry:
                 return  # resolved meanwhile
             self.ep.emit("ft.request.retry",
                           {"op": repr(operation_id), "attempt": attempt + 1})
             self._member_for(group).send(
-                (group, client_group),
-                (REQUEST, group, client_group, operation_id, data, False),
+                (group, client_group), payload,
                 size=len(data) + _ENVELOPE_OVERHEAD,
             )
-            self._arm_request_retry(group, client_group, operation_id, data,
-                                    attempt + 1)
+            self._arm_request_retry(payload, attempt + 1)
 
-        self.ep.timer(self.request_retry_timeout * (attempt + 1), retry,
-                        "ft.retry")
+        entry.retry_timer = self.ep.timer(
+            self.request_retry_timeout * (attempt + 1), retry, "ft.retry")
 
     def _resolve_pending(self, operation_id, reply):
         entry = self.pending.pop(operation_id, None)
         if entry is None:
             return False
-        request_id, future = entry
+        if entry.retry_timer is not None:
+            entry.retry_timer.cancel()
         self._telemetry.span_finish(span_id_for_operation(operation_id),
                                     self.ep.now)
-        self.orb.forget_pending(request_id)
-        self.orb.resolve_future_from_reply(future, reply)
+        self.orb.forget_pending(entry.request_id)
+        self._note_resolved(entry.ack_key, operation_id)
+        self.orb.resolve_future_from_reply(entry.future, reply)
         return True
 
     # ------------------------------------------------------------------
@@ -583,9 +637,14 @@ class ReplicationEngine:
     # ------------------------------------------------------------------
 
     def _deliver_request(self, message, payload):
-        _, dest_group, client_group, operation_id, data, fulfillment = payload
+        (_, dest_group, client_group, operation_id, data, fulfillment,
+         ack) = payload
         if self._member_of(client_group):
-            self.client_seen_requests.add(operation_id)
+            if message.sender != self.node_id or operation_id[0] != "c":
+                # A peer replica of this client issued it (we may issue our
+                # copy later), or it is a nested operation a re-execution
+                # here would re-issue.  Our own top-level ids never recur.
+                self.client_ops.setdefault(operation_id, None)
             if message.sender != self.node_id and self.sender_side_suppression:
                 cancelled = self._cancel_queued_everywhere(
                     lambda p: p[0] == REQUEST and p[3] == operation_id
@@ -604,23 +663,31 @@ class ReplicationEngine:
             replica.buffered.append(("request", payload, message.order_key))
             return
         self._process_request(replica, operation_id, data, client_group,
-                              fulfillment, message.order_key)
+                              fulfillment, message.order_key, ack)
 
     def _process_request(self, replica, operation_id, data, client_group,
-                         fulfillment, order_key):
-        status = replica.tables.status(operation_id)
-        if status == "completed":
+                         fulfillment, order_key, ack=()):
+        table = replica.table
+        if ack:
+            # Only sent with the client's own ("c", client_group, n) ids.
+            table.retired.add_range(client_group, ack[0] + 1,
+                                    operation_id[2] - 1)
+            for sequence in ack[1:]:
+                table.acknowledge(("c", client_group, sequence))
+        status = table.status(operation_id)
+        if status == COMPLETED:
             # Redundant invocation of a completed operation (typically a new
             # primary's re-invocation after failover): do not re-execute,
-            # but re-transmit the response.
-            cached = replica.tables.cached_reply(operation_id)
-            replica.tables.note_suppressed_request()
+            # but re-transmit the response (unless the invoker acknowledged
+            # it: then nobody is waiting).
+            cached = table.cached_reply(operation_id)
+            table.note_suppressed_request()
             self.ep.emit("ft.request.duplicate", {"group": replica.group})
             if cached is not None and replica.is_primary and not fulfillment:
                 self._multicast_reply(replica, client_group, operation_id, cached)
             return
-        if status == "executing":
-            replica.tables.note_suppressed_request()
+        if status is not None:
+            table.note_suppressed_request()
             self.ep.emit("ft.request.duplicate", {"group": replica.group})
             return
         if fulfillment and operation_id and operation_id[0] == "f":
@@ -630,14 +697,12 @@ class ReplicationEngine:
             # ring change, buffered behind the merge stall, and replayed
             # ahead of the fulfillment in total order -- executing the
             # fulfillment too would double-apply the operation.
-            if replica.tables.status(operation_id[1]) is not None:
-                replica.tables.note_suppressed_request()
+            if table.status(operation_id[1]) is not None:
+                table.note_suppressed_request()
                 self.ep.emit("ft.request.duplicate", {"group": replica.group})
                 return
-        pending = PendingRequest(operation_id, data, client_group,
-                                 fulfillment, order_key)
-        replica.tables.note_executing(operation_id)
-        replica.remember_pending(pending)
+        pending = table.note_executing(operation_id, data, client_group,
+                                       fulfillment, order_key)
         if replica.executes_here:
             task = ExecutionTask(replica, pending, self._run_task)
             replica.dispatcher.submit(task)
@@ -645,7 +710,7 @@ class ReplicationEngine:
     def _run_task(self, task, done):
         replica = task.replica
         pending = task.pending
-        if pending.operation_id in replica.tables.completed_operation_ids():
+        if replica.table.status(pending.operation_id) == COMPLETED:
             done()  # completed meanwhile (state update beat the execution)
             return
         request = decode_message(pending.request_bytes)
@@ -653,9 +718,9 @@ class ReplicationEngine:
         epoch = replica.state_epoch
         context.should_abort = lambda: (
             replica.state_epoch != epoch
-            or pending.operation_id in replica.tables.completed_operation_ids())
+            or replica.table.status(pending.operation_id) == COMPLETED)
         replica.environment.current_operation_id = pending.operation_id
-        replica.executing.add(pending.operation_id)
+        pending.running = True
         task.request = request
 
         def respond(reply):
@@ -703,23 +768,25 @@ class ReplicationEngine:
             self._send_reply_with_suppression(replica, pending, reply_bytes)
         done()
 
-    @staticmethod
-    def _modifies_state(replica, request):
-        from repro.orb.idl import interface_of
-
-        info = interface_of(replica.servant).operations.get(request.operation)
-        return info is None or not info.read_only
+    def _modifies_state(self, replica, request):
+        key = (type(replica.servant), request.operation)
+        modifies = self._modifies.get(key)
+        if modifies is None:
+            info = interface_of(replica.servant).operations.get(
+                request.operation)
+            modifies = self._modifies[key] = info is None or not info.read_only
+        return modifies
 
     def _send_reply_with_suppression(self, replica, pending, reply_bytes):
         operation_id = pending.operation_id
         style = replica.policy.style
         if style == ReplicationStyle.SEMI_ACTIVE and not replica.is_primary:
-            replica.tables.note_suppressed_reply()
+            replica.table.note_suppressed_reply()
             self.ep.emit("ft.reply.suppressed_follower", {"group": replica.group})
             return
-        if (replica.tables.reply_already_seen(operation_id)
+        if (replica.table.reply_already_seen(operation_id)
                 and self.sender_side_suppression):
-            replica.tables.note_suppressed_reply()
+            replica.table.note_suppressed_reply()
             self.ep.emit("ft.reply.suppressed_at_sender", {"group": replica.group})
             return
         self._multicast_reply(replica, pending.client_group, operation_id,
@@ -742,19 +809,21 @@ class ReplicationEngine:
     def _deliver_reply(self, message, payload):
         _, client_group, server_group, operation_id, data = payload
         if self._member_of(client_group):
-            self.client_reply_cache[operation_id] = data
-            self._resolve_pending(operation_id, decode_message(data))
+            if operation_id in self.client_ops:
+                self.client_ops[operation_id] = data
+            if operation_id in self.pending:
+                self._resolve_pending(operation_id, decode_message(data))
         replica = self.replicas.get(server_group)
         if replica is not None:
-            first_time = not replica.tables.reply_already_seen(operation_id)
-            replica.tables.note_reply_seen(operation_id)
+            first_time = not replica.table.reply_already_seen(operation_id)
+            replica.table.note_reply_seen(operation_id)
             if (message.sender != self.node_id and first_time
                     and self.sender_side_suppression):
                 cancelled = self._cancel_queued_everywhere(
                     lambda p: p[0] == REPLY and p[3] == operation_id
                 )
                 if cancelled:
-                    replica.tables.note_suppressed_reply()
+                    replica.table.note_suppressed_reply()
                     self.ep.emit("ft.reply.cancelled_queued",
                                   {"group": server_group})
 
@@ -764,8 +833,6 @@ class ReplicationEngine:
 
     def _multicast_state_update(self, replica, operation_id, client_group,
                                 reply_bytes):
-        from repro.orb.cdr import encode_value
-
         if replica.policy.update_mode == "image":
             image = self._take_update_image(replica)
             if image is not None:
@@ -805,7 +872,7 @@ class ReplicationEngine:
         if not replica.ready:
             replica.buffered.append(("update", payload, message.order_key))
             return
-        if replica.tables.status(operation_id) == "completed":
+        if replica.table.status(operation_id) == COMPLETED:
             return  # we executed this ourselves (we are the primary)
         if position != replica.ops_applied + 1:
             # Updates apply only contiguously.  ``position`` is the number
@@ -829,9 +896,7 @@ class ReplicationEngine:
                 self._request_resync(replica)
             return
         replica.servant.set_state(state)
-        pending = replica.pending_requests.get(operation_id)
-        request_bytes = pending.request_bytes if pending else None
-        replica.complete(operation_id, request_bytes, client_group, reply_bytes)
+        replica.complete(operation_id, None, client_group, reply_bytes)
         self.ep.emit("ft.state.update.applied", {"group": group,
                                                   "node": self.node_id})
 
@@ -843,7 +908,7 @@ class ReplicationEngine:
         if not replica.ready:
             replica.buffered.append(("update-image", payload, message.order_key))
             return
-        if replica.tables.status(operation_id) == "completed":
+        if replica.table.status(operation_id) == COMPLETED:
             return  # we executed this ourselves (we are the primary)
         if position != replica.ops_applied + 1:
             # Same contiguity rule as full-state updates; for an image it
@@ -855,9 +920,7 @@ class ReplicationEngine:
                 self._request_resync(replica)
             return
         replica.servant.apply_update_image(image)
-        pending = replica.pending_requests.get(operation_id)
-        request_bytes = pending.request_bytes if pending else None
-        replica.complete(operation_id, request_bytes, client_group, reply_bytes)
+        replica.complete(operation_id, None, client_group, reply_bytes)
         self.ep.emit("ft.state.update.image.applied",
                       {"group": group, "node": self.node_id})
 
@@ -907,8 +970,6 @@ class ReplicationEngine:
         replica.dispatcher.submit(ResyncTask())
 
     def _send_resync_state(self, replica, requester):
-        from repro.orb.cdr import encode_value
-
         capture = self._capture(replica)
         value = capture.as_value()
         encoded = encode_value(value)
@@ -932,14 +993,7 @@ class ReplicationEngine:
         # (executed while it was a side primary) become fulfillments,
         # exactly as in a merge adoption; for a plain lagging backup the
         # plan is empty.
-        plan = FulfillmentPlan(
-            replica.group,
-            divergent_operations(
-                replica.completed_order,
-                replica.completed_journal,
-                self._their_completed(capture),
-            ),
-        )
+        plan = self._fulfillment_plan(replica, capture)
         self._adopt_capture(replica, capture)
         self._apply_captured_pending(replica, capture)
         self.ep.emit("ft.resync.adopted", {"group": group,
@@ -950,9 +1004,6 @@ class ReplicationEngine:
     def _multicast_checkpoint(self, replica):
         capture = self._capture(replica)
         replica.ops_since_checkpoint = 0
-        replica.log.checkpoint(capture.application)
-        from repro.orb.cdr import encode_value
-
         value = capture.as_value()
         self.ep.emit("ft.checkpoint.sent", {"group": replica.group})
         self._member_for(replica.group).send(
@@ -1006,43 +1057,32 @@ class ReplicationEngine:
             if self._ring_of(replica.group) != ring_id:
                 continue
             was_stalled = replica.awaiting_merge_capture
-            replica.pre_change_members = set(replica.members) | {self.node_id}
+            # Only hosts that moved with us from the old ring share our
+            # history; a view member outside the transitional component
+            # (we listed it, but it never installed that ring) needs a
+            # capture like any other joiner.
+            replica.pre_change_members = (
+                (set(replica.members) & transitional) | {self.node_id})
             # A ring change may have cut off an outstanding resync request
             # (or the merge reconciliation now underway supersedes it);
             # re-arm so the next gapped update can retry.
             replica.resync_pending = False
-            if not was_stalled and replica.merge_unreconciled:
-                # The previous merge stall timed out before reconciliation
-                # completed: this replica may still be missing the other
-                # side's operations even though the ring now travels as one
-                # transitional component.  Re-deriving would collapse
-                # side_rep to the ring minimum and make the true primary's
-                # late capture look like our own side's (sponsor ==
-                # side_rep refuses adoption).  Keep the pre-merge value
-                # until a capture is adopted or a barrier completes.
-                pass
-            elif not was_stalled:
-                # Mid-merge, the representative stays frozen at its
-                # pre-merge value: a second ring change can put both sides
-                # in one transitional component, and re-deriving here
-                # would collapse side_rep to the ring minimum before the
-                # capture arrives -- permanently disabling the adoption
-                # rule (sponsor < side_rep) and leaving this replica
-                # divergent.
-                replica.side_rep = derive_side_representative(
-                    replica.members, transitional, self.node_id
-                )
-            elif (replica.side_rep is not None
-                    and replica.side_rep != self.node_id
-                    and replica.side_rep not in transitional):
-                # The freeze is only sound while we actually travel with
-                # our representative.  Its absence from the transitional
-                # component means the churn separated us from it (or it
-                # crashed): deliveries can now reach its component but not
-                # ours, so claiming primacy through it would make us skip
-                # adopting its side's capture at the next merge and leave
-                # us permanently missing those operations.  Re-derive from
-                # the component we verifiably moved with.
+            # Mid-merge -- stalled, or released by timeout with the
+            # reconciliation still owed -- the representative stays frozen
+            # at its pre-merge value: a second ring change can put both
+            # sides in one transitional component, and re-deriving there
+            # would collapse side_rep to the ring minimum before the
+            # capture arrives, permanently disabling the adoption rule
+            # (sponsor < side_rep).  The freeze is only sound while we
+            # travel with our representative: once the churn separates us
+            # from it (or it crashed), deliveries reach its component but
+            # not ours, and claiming primacy through it would refuse its
+            # side's capture at the next merge.  Then, as outside a merge,
+            # re-derive from the component we verifiably moved with.
+            frozen = was_stalled or replica.merge_unreconciled
+            if not frozen or (replica.side_rep is not None
+                              and replica.side_rep != self.node_id
+                              and replica.side_rep not in transitional):
                 replica.side_rep = derive_side_representative(
                     replica.members, transitional, self.node_id
                 )
@@ -1064,6 +1104,8 @@ class ReplicationEngine:
             if outside_hosts:
                 awaiting = ((new_ring_members & replica.ever_members)
                             | {self.node_id})
+                replica.merge_outside = outside_hosts
+                replica.merge_since = event.new_ring_key[0]
                 self._stall_for_merge(replica, awaiting, event.new_ring_key)
                 if min(outside_hosts) > replica.side_rep:
                     # Primary side: no capture binds us; announce at once
@@ -1135,15 +1177,11 @@ class ReplicationEngine:
         """This node became the passive primary: finish uncovered work."""
         self.ep.emit("ft.failover", {"group": replica.group,
                                       "node": self.node_id})
-        for pending in replica.pending_in_order():
-            if pending.operation_id in replica.executing:
+        for pending in replica.table.pending_in_order():
+            if pending.running:
                 continue
-            task = ExecutionTask(
-                replica, pending, self._run_task,
-                resend_reply=not replica.tables.reply_already_seen(
-                    pending.operation_id
-                ),
-            )
+            task = ExecutionTask(replica, pending, self._run_task,
+                                 resend_reply=not pending.reply_seen)
             replica.dispatcher.submit(task)
 
     # ------------------------------------------------------------------
@@ -1200,16 +1238,12 @@ class ReplicationEngine:
             # before the switch is lost and nothing is double-applied
             # (the runner re-checks completion before executing).
             uncovered = 0
-            for pending in replica.pending_in_order():
-                if pending.operation_id in replica.executing:
+            for pending in replica.table.pending_in_order():
+                if pending.running:
                     continue
                 uncovered += 1
-                task = ExecutionTask(
-                    replica, pending, self._run_task,
-                    resend_reply=not replica.tables.reply_already_seen(
-                        pending.operation_id
-                    ),
-                )
+                task = ExecutionTask(replica, pending, self._run_task,
+                                     resend_reply=not pending.reply_seen)
                 replica.dispatcher.submit(task)
             self.ep.emit("ft.policy.replay", {"group": replica.group,
                                                "node": self.node_id,
@@ -1244,8 +1278,6 @@ class ReplicationEngine:
     def _send_state_capture(self, replica, done):
         capture = self._capture(replica)
         value = capture.as_value()
-        from repro.orb.cdr import encode_value
-
         encoded = encode_value(value)
         marker = "%s@%d" % (self.node_id, replica.ops_applied)
         self.ep.emit("ft.state.full.sent",
@@ -1351,14 +1383,16 @@ class ReplicationEngine:
             # is released by the RECONCILED barrier, not here.
             return
         # We are in the secondary component for this group: reconcile.
-        plan = FulfillmentPlan(
-            replica.group,
-            divergent_operations(
-                replica.completed_order,
-                replica.completed_journal,
-                self._their_completed(capture),
-            ),
-        )
+        # Requests stalled here since before the merge were delivered in
+        # our component only.  They go back into the total order, as their
+        # invoker's retry would send them, so that every host replays them
+        # at one position (replayed from here they would run here alone).
+        premerge = [entry for entry in replica.buffered
+                    if entry[0] == "request" and not entry[1][5]
+                    and entry[2][0] < replica.merge_since]
+        replica.buffered = [entry for entry in replica.buffered
+                            if entry not in premerge]
+        plan = self._fulfillment_plan(replica, capture)
         self._adopt_capture(replica, capture)
         self._apply_captured_pending(replica, capture)
         # Adopt the sponsor as our representative: in a multi-way merge an
@@ -1366,11 +1400,15 @@ class ReplicationEngine:
         replica.side_rep = sponsor
         # Our history now contains the primary side's: any reconciliation
         # debt left by an earlier timed-out stall is settled.
-        replica.merge_unreconciled = False
+        replica.merge_unreconciled = set()
         self.ep.emit("ft.merge.adopted", {"group": replica.group,
                                            "node": self.node_id,
                                            "fulfillment": len(plan)})
         self._multicast_fulfillment(replica, plan)
+        for _kind, payload, _order_key in premerge:
+            self._member_for(replica.group).send(
+                (replica.group, payload[2]), payload,
+                size=len(payload[4]) + _ENVELOPE_OVERHEAD)
         # Announce after the fulfillments: every stalled replica holds its
         # buffered requests until RECONCILED has arrived from all known
         # hosts, and total order then places our divergent operations
@@ -1378,25 +1416,22 @@ class ReplicationEngine:
         self._multicast_reconciled(replica)
 
     @staticmethod
-    def _their_completed(capture):
-        """Completed op-id set from a capture's infrastructure tier."""
-        their_completed = set()
-        dup = capture.infrastructure.get("dup", {})
-        for op, status in dup.get("request_status", []):
-            if status == "completed":
-                their_completed.add(_tuplify(op))
-        return their_completed
+    def _fulfillment_plan(replica, capture):
+        """Our journal minus what the capture's side completed."""
+        return FulfillmentPlan(replica.group, divergent_operations(
+            replica.table.completed_in_order(),
+            OperationTable.completed_in(capture.infrastructure)))
 
     def _multicast_fulfillment(self, replica, plan):
         for original_op, request_bytes, client_group in plan:
             fulfillment_op = fulfillment_operation_id(original_op, 0)
-            if fulfillment_op in replica.tables.completed_operation_ids():
+            if replica.table.status(fulfillment_op) == COMPLETED:
                 continue
             self.ep.emit("ft.fulfillment.sent", {"group": replica.group})
             self._member_for(replica.group).send(
                 (replica.group, client_group or self.client_group),
                 (REQUEST, replica.group, client_group or self.client_group,
-                 fulfillment_op, request_bytes, True),
+                 fulfillment_op, request_bytes, True, ()),
                 size=len(request_bytes) + _ENVELOPE_OVERHEAD,
             )
 
@@ -1410,14 +1445,11 @@ class ReplicationEngine:
         point as the sponsor's.  Duplicate suppression makes this safe
         when the adopter saw some of them itself.
         """
-        entries = capture.infrastructure.get("pending") or []
-        completed = replica.tables.completed_operation_ids()
-        for op, request_bytes, client_group, order_key in entries:
-            op = _tuplify(op)
-            if op in completed:
-                continue
-            self._process_request(replica, op, bytes(request_bytes),
-                                  client_group, False, _tuplify(order_key))
+        for op, request_bytes, client_group, order_key in (
+                capture.infrastructure["pending"]):
+            if replica.table.status(op) != COMPLETED:
+                self._process_request(replica, op, bytes(request_bytes),
+                                      client_group, False, order_key)
 
     def _adopt_capture(self, replica, capture, checkpoint=False):
         # Wholesale state replacement invalidates every execution in
@@ -1428,42 +1460,30 @@ class ReplicationEngine:
         # Bumping the epoch makes each in-flight context's abort hook
         # fire at its next resume.
         replica.state_epoch += 1
-        stale_executing = set(replica.executing)
-        replica.executing.clear()
+        interrupted = [r for r in replica.table.pending_in_order() if r.running]
         replica.servant.set_state(capture.application)
         replica.adopt_infrastructure_state(capture.infrastructure)
         # Any wholesale adoption heals a passive-update gap.
         replica.resync_pending = False
         if checkpoint:
-            replica.log.checkpoint(capture.application)
             replica.ops_since_checkpoint = 0
-        # Prune pending requests the capture already covers.
-        completed = replica.tables.completed_operation_ids()
-        for op in list(replica.pending_requests):
-            if op in completed:
-                del replica.pending_requests[op]
         # Interrupted operations the capture covers neither as completed
         # nor (shortly, via the pending tier) as in-flight were delivered
         # only here: re-execute them from scratch on the adopted state,
         # in delivery order, or they would be lost with the aborted
-        # generators.  Ops the capture's pending tier does carry are
-        # re-marked executing here first, so _apply_captured_pending
-        # suppresses its copy and execution order follows delivery order.
-        for op in replica.pending_order:
-            if op not in stale_executing or op in completed:
-                continue
-            pending = replica.pending_requests.get(op)
-            if pending is None:
-                continue
-            replica.tables.note_executing(op)
-            task = ExecutionTask(replica, pending, self._run_task)
-            replica.dispatcher.submit(task)
+        # generators.  They stay marked executing, so
+        # _apply_captured_pending suppresses the capture's copy of any of
+        # them and execution order follows delivery order.
+        for pending in interrupted:
+            if replica.table.live.get(pending.operation_id) is pending:
+                task = ExecutionTask(replica, pending, self._run_task)
+                replica.dispatcher.submit(task)
 
     def _make_ready(self, replica):
         replica.ready = True
         if replica.members:
             replica.side_rep = min(replica.members)
-        replica.merge_unreconciled = False
+        replica.merge_unreconciled = set()
         self.ep.emit("ft.replica.ready", {"group": replica.group,
                                            "node": self.node_id,
                                            "replay": len(replica.buffered)})
@@ -1474,9 +1494,9 @@ class ReplicationEngine:
         buffered, replica.buffered = replica.buffered, []
         for kind, payload, order_key in buffered:
             if kind == "request":
-                _, dest_group, client_group, op, data, fulfillment = payload
+                _, _, client_group, op, data, fulfillment, ack = payload
                 self._process_request(replica, op, data, client_group,
-                                      fulfillment, order_key)
+                                      fulfillment, order_key, ack)
             elif kind == "update":
                 self._deliver_state_update(_FakeMessage(order_key), payload)
             elif kind == "update-image":
@@ -1567,10 +1587,12 @@ class ReplicationEngine:
         replica.merge_round = None
         # A timeout release ends the *stall* (liveness: an awaited host
         # may be dead) but must not count as reconciliation (safety): the
-        # debt flag keeps side_rep from collapsing to the ring minimum
-        # until the primary side's capture actually binds, so a late
-        # capture can still be adopted.  A completed barrier settles it.
-        replica.merge_unreconciled = reason != "reconciled"
+        # debt (to the other component's hosts) keeps side_rep from
+        # collapsing to the ring minimum until the primary side's capture
+        # actually binds, so a late capture can still be adopted.  A
+        # completed barrier settles it.
+        replica.merge_unreconciled = (
+            set() if reason == "reconciled" else set(replica.merge_outside))
         if replica.merge_stall_timer is not None:
             replica.merge_stall_timer.cancel()
             replica.merge_stall_timer = None
@@ -1598,8 +1620,8 @@ class ReplicationEngine:
             group: {
                 "style": replica.policy.style,
                 "ops_applied": replica.ops_applied,
-                "suppressed_requests": replica.tables.suppressed_requests,
-                "suppressed_replies": replica.tables.suppressed_replies,
+                "suppressed_requests": replica.table.suppressed_requests,
+                "suppressed_replies": replica.table.suppressed_replies,
             }
             for group, replica in self.replicas.items()
         }
@@ -1612,8 +1634,3 @@ class _FakeMessage:
         self.order_key = order_key
         self.sender = None
 
-
-def _tuplify(value):
-    if isinstance(value, list):
-        return tuple(_tuplify(item) for item in value)
-    return value

@@ -109,6 +109,12 @@ class ReplicationManager:
         self._engine(node_id).unhost_replica(group)
         if node_id in record.locations:
             record.locations.remove(node_id)
+        # The removed host's copy of the group's history is gone for good:
+        # the survivors stop waiting for it (stability, reconciliation).
+        for engine in self.engines.values():
+            replica = engine.replicas.get(group)
+            if replica is not None:
+                replica.forget_host(node_id)
 
     def ior_of(self, group):
         return self._record(group).ior

@@ -1,10 +1,9 @@
 """A local replica: one hosted member of an object group.
 
 The :class:`LocalReplica` holds everything the Eternal mechanisms keep per
-replica at one node: the servant, the duplicate-suppression tables, the
-operation log (for passive backups and cold-passive recovery), the
-execution dispatcher, view bookkeeping, and the completed-operation
-journal used for partition-remerge fulfillment.
+replica at one node: the servant, the operation table (duplicate
+suppression, pending requests and the fulfillment journal in one
+structure), the execution dispatcher, and view bookkeeping.
 
 All decision logic that must be identical across replicas (what to
 execute, when to push state, who replies) lives in the engine and runs in
@@ -13,31 +12,13 @@ delivered-message order; this class is the state it operates on.
 
 from repro.determinism.dispatcher import make_dispatcher
 from repro.determinism.sanitizer import SanitizedEnvironment
-from repro.replication.duplicates import DuplicateTables
+from repro.replication.duplicates import OperationTable
 from repro.replication.election import choose_primary
-from repro.state.logging import MessageLog
-
-
-class PendingRequest:
-    """A delivered-but-not-completed request held by a replica."""
-
-    __slots__ = ("operation_id", "request_bytes", "client_group",
-                 "fulfillment", "order_key")
-
-    def __init__(self, operation_id, request_bytes, client_group,
-                 fulfillment, order_key):
-        self.operation_id = operation_id
-        self.request_bytes = request_bytes
-        self.client_group = client_group
-        self.fulfillment = fulfillment
-        self.order_key = order_key
-
-    def __repr__(self):
-        return "PendingRequest(%s)" % (self.operation_id,)
 
 
 class ExecutionTask:
-    """Dispatcher task executing one request at one replica."""
+    """Dispatcher task executing one request (``pending``, its
+    :class:`~repro.replication.duplicates.OperationRecord`) at one replica."""
 
     __slots__ = ("replica", "pending", "resend_reply", "cost", "request", "_runner")
 
@@ -75,30 +56,30 @@ class LocalReplica:
         # the other side's operations.
         self.awaiting_merge_capture = False
         self.merge_await = set()
+        # The other component's hosts at the transitional configuration
+        # that armed the stall: the only ones a binding capture can come
+        # from.
+        self.merge_outside = set()
+        self.merge_since = 0
         self.merge_announced = False
         self.merge_round = None
         self.merge_stall_timer = None
-        # True after a merge stall ended without full reconciliation (the
-        # safety timer fired before every RECONCILED marker arrived, and
-        # no primary-side capture was adopted).  While set, this replica's
-        # history may still be missing another component's operations, so
-        # ``side_rep`` must not collapse to the ring minimum -- that would
-        # make a late capture from the true primary side look like our
-        # own and be refused.
-        self.merge_unreconciled = False
+        # Non-empty after a merge stall ended without full reconciliation
+        # (the safety timer fired before every RECONCILED marker arrived,
+        # and no primary-side capture was adopted): ``merge_outside`` at
+        # that moment.  While set, this replica's history may still be missing
+        # another component's operations, so ``side_rep`` must not
+        # collapse to the ring minimum -- that would make a late capture
+        # from the true primary side look like our own and be refused --
+        # and nothing it completed counts as stable.
+        self.merge_unreconciled = set()
         # True while a resync request (sent after a passive-update gap)
         # awaits its capture; suppresses duplicate requests.
         self.resync_pending = False
         # Mechanisms state.
-        self.tables = DuplicateTables(self._count_suppression)
-        self.log = MessageLog()
-        self.pending_requests = {}   # op id -> PendingRequest (not completed)
-        self.pending_order = []      # op ids in delivery order
-        self.completed_journal = {}  # op id -> (request_bytes, client_group)
-        self.completed_order = []    # op ids in completion order
+        self.table = OperationTable(self._count_suppression)
         self.ops_applied = 0
         self.ops_since_checkpoint = 0
-        self.executing = set()
         # Bumped on every wholesale state adoption; execution contexts
         # snapshot it at dispatch and abort their generator at the next
         # resume when it moved (their in-flight effects were superseded).
@@ -110,10 +91,12 @@ class LocalReplica:
         # View bookkeeping.
         self.members = ()
         self.previous_members = ()
-        # Every node ever seen hosting this group.  Group views are rebuilt
+        # Every node seen hosting this group and not administratively
+        # removed since (see ``forget_host``).  Group views are rebuilt
         # incrementally from announces after a ring change, so the current
         # view under-reports membership right when a remerge is detected;
-        # this set remembers which ring members can host a sponsor capture.
+        # this set remembers which ring members can host a sponsor capture
+        # -- and whose history could differ from ours.
         self.ever_members = {self.node_id}
         # Representative of the partition component this replica has stayed
         # consistent with.  Frozen while views grow (merge in progress) and
@@ -159,42 +142,51 @@ class LocalReplica:
     # Request bookkeeping
     # ------------------------------------------------------------------
 
-    def remember_pending(self, pending):
-        if pending.operation_id not in self.pending_requests:
-            self.pending_requests[pending.operation_id] = pending
-            self.pending_order.append(pending.operation_id)
-        self.log.append(
-            pending.operation_id, "request", pending.request_bytes
-        )
-
     def complete(self, operation_id, request_bytes, client_group, reply_bytes):
         """Mark an operation completed (executed here or via state update)."""
-        ids = [operation_id]
+        table = self.table
+        table.note_completed(operation_id, reply_bytes, request_bytes,
+                             client_group)
         if operation_id and operation_id[0] == "f":
             # A fulfillment re-execution also completes its *original*
             # operation id: the original completed only in the pre-merge
-            # secondary component, whose duplicate tables the adopted
+            # secondary component, whose operation table the adopted
             # capture replaced.  Without the pairing, a client retry of
             # the original id arriving after the remerge would execute
-            # the operation a second time.
-            ids.append(operation_id[1])
-        for op in ids:
-            self.tables.note_completed(op, reply_bytes)
-            self.pending_requests.pop(op, None)
-            self.executing.discard(op)
-            if op not in self.completed_journal:
-                self.completed_journal[op] = (request_bytes, client_group)
-                self.completed_order.append(op)
+            # the operation a second time.  The fulfillment's delivery has
+            # to become stable before the original's request bytes may go,
+            # so the pair shares its order key.
+            fulfilled = table.live.get(operation_id)
+            table.note_completed(operation_id[1], reply_bytes, request_bytes,
+                                 client_group,
+                                 fulfilled and fulfilled.order_key)
         self.ops_applied += 1
         self.ops_since_checkpoint += 1
+        self.release_stable()
 
-    def pending_in_order(self):
-        """Uncompleted requests in delivery order (failover work list)."""
-        return [
-            self.pending_requests[op]
-            for op in self.pending_order
-            if op in self.pending_requests
-        ]
+    def release_stable(self):
+        """Let the journal go of requests every history-bearing host holds.
+
+        A request is stable once it is Totem-*safe* in a regular
+        configuration that contains every host whose history could differ
+        (``ever_members``) while no reconciliation is owed; older rings'
+        deliveries are covered by the reconciliation that followed them.
+        A degraded group keeps its journal for as long as it is degraded.
+        """
+        if (not self.ready or self.awaiting_merge_capture
+                or self.merge_unreconciled):
+            return
+        stable = self.engine._member_for(self.group).stable_horizon()
+        if stable is not None and self.ever_members.issubset(stable[0]):
+            self.table.release_stable(stable[1])
+
+    def forget_host(self, node_id):
+        """``node_id`` was administratively removed from the group: its
+        copy of the history is gone, so it no longer holds back stability
+        or owes a reconciliation."""
+        self.ever_members.discard(node_id)
+        self.merge_outside.discard(node_id)
+        self.merge_unreconciled.discard(node_id)
 
     # ------------------------------------------------------------------
     # State capture for transfer (three tiers)
@@ -208,60 +200,30 @@ class LocalReplica:
         # its next execution.  Buffered entries are requests held back by
         # a merge stall (see the engine's remerge barrier).
         pending = [
-            [_listify(p.operation_id), p.request_bytes, p.client_group,
-             _listify(p.order_key)]
-            for p in self.pending_in_order()
+            [p.operation_id, p.request_bytes, p.client_group, p.order_key]
+            for p in self.table.pending_in_order()
         ]
         for kind, payload, order_key in self.buffered:
             if kind == "request" and not payload[5]:
-                pending.append([_listify(payload[3]), payload[4], payload[2],
-                                _listify(order_key)])
-        return {
-            "dup": self.tables.capture(),
-            "ops_applied": self.ops_applied,
-            "completed_order": [list(op) for op in self.completed_order],
-            "pending": pending,
-        }
+                pending.append([payload[3], payload[4], payload[2], order_key])
+        state = self.table.capture()
+        state["ops_applied"] = self.ops_applied
+        state["pending"] = pending
+        return state
 
     def adopt_infrastructure_state(self, snapshot):
-        # "executing" entries describe in-flight dispatcher tasks at the
-        # *sponsor*; no execution is in flight here, so adopting them
-        # verbatim would suppress this replica's own (re-)execution of
-        # those operations forever -- nothing local ever completes them.
-        # Drop them: the same requests ride along in the capture's
-        # pending tier and are re-processed after adoption, which re-marks
-        # them executing against *this* replica's dispatcher.
-        dup = dict(snapshot["dup"])
-        dup["request_status"] = [
-            [op, status] for op, status in dup["request_status"]
-            if status == "completed"
-        ]
-        self.tables = DuplicateTables.restore(
-            dup, self._count_suppression
+        # Only *completed* operations are adopted.  Executions in flight
+        # at the sponsor are not in flight here; the same requests ride
+        # along in the capture's pending tier and are re-processed after
+        # adoption against *this* replica's dispatcher.  Our own
+        # uncompleted requests the capture does not cover stay pending.
+        self.table = OperationTable.restore(
+            snapshot, self._count_suppression, previous=self.table
         )
         self.ops_applied = snapshot["ops_applied"]
-        self.completed_order = [
-            _tuplify(op) for op in snapshot["completed_order"]
-        ]
-        self.completed_journal = {
-            op: self.completed_journal.get(op, (None, None))
-            for op in self.completed_order
-        }
 
     def __repr__(self):
         role = "primary" if self.is_primary else "backup"
         return "LocalReplica(%s@%s, %s, %s, ops=%d)" % (
             self.group, self.node_id, self.policy.style, role, self.ops_applied,
         )
-
-
-def _tuplify(value):
-    if isinstance(value, list):
-        return tuple(_tuplify(item) for item in value)
-    return value
-
-
-def _listify(value):
-    if isinstance(value, tuple):
-        return [_listify(item) for item in value]
-    return value

@@ -1,4 +1,4 @@
-"""State capture, logging, and transfer mechanisms.
+"""State capture and transfer mechanisms.
 
 One of the paper's central lessons is that making an object fault-tolerant
 requires capturing *three* kinds of state -- application state, ORB state,
@@ -8,7 +8,6 @@ simple blocking state transfer and a non-blocking incremental transfer
 """
 
 from repro.state.checkpointable import Checkpointable, state_size_of
-from repro.state.logging import MessageLog, OperationLogRecord
 from repro.state.transfer import (
     BlockingTransfer,
     IncrementalAssembler,
@@ -21,8 +20,6 @@ from repro.state.three_tier import FullStateCapture, capture_full_state, restore
 __all__ = [
     "Checkpointable",
     "state_size_of",
-    "MessageLog",
-    "OperationLogRecord",
     "BlockingTransfer",
     "IncrementalAssembler",
     "IncrementalTransfer",

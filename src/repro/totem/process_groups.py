@@ -145,6 +145,19 @@ class GroupMember:
             node for node, groups in self.membership.items() if group in groups
         ))
 
+    def stable_horizon(self):
+        """``(ring members, order key)`` up to which deliveries are *safe*.
+
+        Every member of the current regular configuration is known to hold
+        every message ordered at or before the returned key (older rings'
+        keys compare lower).  None outside a regular configuration.
+        """
+        processor = self.processor
+        if processor.state != "operational":
+            return None
+        ring = processor.ring
+        return ring.members, (ring.seq, processor.store.safe_seq)
+
     # ------------------------------------------------------------------
     # Totem callbacks
     # ------------------------------------------------------------------

@@ -42,16 +42,23 @@ SCALE = {
 SEEDS = range(16)
 
 # Empirically failing at the pinned scale (see module docstring).
-# The Join-damping change (membership fan-out pacing under churn)
-# legitimately re-timed every churn-heavy schedule: seed 9 (previously
-# xfail no-lost-operation) now passes and seed 15 now trips
-# convergence.  Same bug class, different schedule — the underlying
-# remerge-replay provenance bug is still open in ROADMAP.
+# Which seeds trip is decided by microseconds: any change to the size of
+# a frame re-times every churn-heavy schedule.  PR 15 added the ack
+# field to the REQUEST envelope and shrank every state capture, which
+# moved the parent's pinned seed (15, replica-convergence) and exposed
+# three reconciliation holes on seeds 1, 7 and 15; all three are fixed
+# (a frozen side representative that no longer travels with the replica
+# is re-derived; a view member that did not move with us through the
+# transitional configuration gets a capture; requests the secondary side
+# stalled before the merge go back into the total order).  What remains
+# is one seed, and not a reconciliation bug.
 FAILING_SEEDS = {
-    15: "replica-convergence: a crash lands inside the remerge's "
-        "fulfillment replay and one side's replay never commits "
-        "(ROADMAP: residual exactly-once violations under extreme "
-        "churn)",
+    9: "no-lost-operation: under an 8 % loss burst s2 forms a ring with "
+       "the gateways alone, executes and acknowledges one deposit, and "
+       "crashes 0.8 s later; the one ring it shared with s1 in between "
+       "lost its token before s1's capture got a visit, so the only "
+       "copy of the operation died with the process (ROADMAP: residual "
+       "exactly-once violations under extreme churn)",
 }
 
 # Seeds whose schedules trigger a pathological blowup.  Seed 5 used to

@@ -52,8 +52,12 @@ def test_duplicate_request_gets_cached_reply_resent():
     # would): find the completed op and re-inject it.
     engine = system.engine("n1")
     replica = engine.replica("ctr")
-    op_id = next(iter(replica.tables.completed_operation_ids()))
-    request_bytes, client_group = replica.completed_journal[op_id]
+    # The invoker has not acknowledged it yet (it made no further request),
+    # so the record is live and still holds the reply.
+    record = next(iter(replica.table.live.values()))
+    assert record.status == "completed" and record.reply_bytes is not None
+    op_id, client_group = record.operation_id, record.client_group
+    request_bytes = b"the table never re-reads a completed op's request"
     before_replies = system.sim.trace.count("ft.reply.sent")
     before_ops = replica.ops_applied
     engine._process_request(replica, op_id, request_bytes, client_group,
@@ -62,7 +66,126 @@ def test_duplicate_request_gets_cached_reply_resent():
     # Not re-executed; the cached reply was re-transmitted by the primary.
     assert replica.ops_applied == before_ops
     assert system.sim.trace.count("ft.reply.sent") == before_replies + 1
-    assert replica.tables.suppressed_requests >= 1
+    assert replica.table.suppressed_requests >= 1
+
+
+def test_fulfilled_original_keeps_its_bytes_until_the_fulfillment_is_stable():
+    """The fulfillment op is never replayed again, so the paired original
+    record is the only replayable copy: it waits for the same evidence."""
+    from repro.replication import fulfillment_operation_id
+
+    system = system_up()
+    system.create_replicated(
+        "ctr", Counter, ["n1", "n2"], GroupPolicy(style=ReplicationStyle.ACTIVE)
+    )
+    system.run_for(0.5)
+    replica = system.engine("n1").replica("ctr")
+    original = ("c", "client/n3", 7)
+    fulfillment = fulfillment_operation_id(original, 0)
+    ring_seq, safe = replica.engine.groups.stable_horizon()[1]
+    delivered_at = (ring_seq, safe + 1000)        # not safe yet
+    table = replica.table
+    table.note_executing(fulfillment, b"req", "client/n3", True, delivered_at)
+    replica.complete(fulfillment, b"req", "client/n3", b"reply")
+    assert table.live[original].order_key == delivered_at
+    assert [r.operation_id for r in table.journal] == [fulfillment, original]
+    table.release_stable(delivered_at)
+    assert not table.journal and table.live[original].request_bytes is None
+
+
+def test_requests_under_a_foreign_client_group_owe_no_ack():
+    """The gateway tier's fallback sends this node's own ("c", client/n3, n)
+    ids under the tier's client group: the server reads ack numbers against
+    the envelope's group, so nothing may be recorded for them."""
+    system = system_up()
+    ior = system.create_replicated(
+        "ctr", Counter, ["n1", "n2"], GroupPolicy(style=ReplicationStyle.ACTIVE)
+    )
+    system.run_for(0.5)
+    engine = system.engine("n3")
+    engine.join_client_group("tier")
+    system.run_for(0.2)
+    for _ in range(3):
+        future = engine.invoke_group(ior, "increment", (1,),
+                                     client_group="tier")
+        assert isinstance(system.call(future), int)
+    assert engine._resolved == {} and engine.pending == {}
+    sent = []
+    real_send = engine.groups.send
+    engine.groups.send = lambda groups, payload, **kw: (
+        sent.append(payload), real_send(groups, payload, **kw))
+    system.call(system.stub("n3", ior).increment(1))
+    assert sent[0][6] == ()       # own id: nothing owed from the tier's ops
+    assert set(system.states_of("ctr").values()) == {4}
+
+
+def _merging(system, node, transitional, new_seq, new_members):
+    """Deliver a transitional configuration to ``node``'s engine by hand."""
+    from repro.totem.events import TransitionalConfiguration
+
+    engine = system.engine(node)
+    engine._on_ring_config(engine._ring_of("ctr"), TransitionalConfiguration(
+        (new_seq - 4, ()), (new_seq, tuple(new_members)), transitional))
+    return engine.replica("ctr")
+
+
+def _three_way_counter():
+    system = system_up()
+    system.create_replicated(
+        "ctr", Counter, ["n1", "n2", "n3"],
+        GroupPolicy(style=ReplicationStyle.ACTIVE))
+    system.run_for(0.5)
+    return system
+
+
+def test_owed_reconciliation_freezes_the_representative_only_while_it_travels_along():
+    """A replica released from a merge stall by timeout keeps its pre-merge
+    representative (a late capture must still bind) -- but not once the
+    churn separates it from that host: claiming primacy through an absent
+    representative would refuse that host's capture at the next merge."""
+    system = _three_way_counter()
+    replica = system.engine("n3").replica("ctr")
+    assert replica.side_rep == "n1"
+    replica.merge_unreconciled = {"n2"}
+    _merging(system, "n3", ("n1", "n3"), 100, ("n1", "n3"))
+    assert replica.side_rep == "n1"
+    _merging(system, "n3", ("n3",), 104, ("n3",))
+    assert replica.side_rep == "n3"
+
+
+def test_view_members_that_did_not_travel_along_need_a_capture():
+    """n1's view still lists n2 and n3, but only n1 came out of the old
+    ring: they are joiners to sponsor, not pre-change members."""
+    system = _three_way_counter()
+    replica = _merging(system, "n1", ("n1",), 100, ("n1", "n2", "n3"))
+    assert set(replica.members) == {"n1", "n2", "n3"}
+    assert replica.pre_change_members == {"n1"}
+    assert replica.awaiting_merge_capture
+
+
+def test_premerge_stalled_requests_go_back_into_the_total_order():
+    """A request the secondary side buffered before the merge was delivered
+    in its component only: replayed from the buffer it would run there
+    alone.  On adopting the primary side's capture it is re-multicast
+    (same id) so every host replays it at one position."""
+    system = _three_way_counter()
+    engine = system.engine("n3")
+    replica = _merging(system, "n3", ("n3",), 200, ("n1", "n2", "n3"))
+    assert replica.side_rep == "n3" and replica.awaiting_merge_capture
+    before = ("ft-request", "ctr", "client/n1", ("c", "client/n1", 8),
+              b"before", False, ())
+    after = ("ft-request", "ctr", "client/n1", ("c", "client/n1", 9),
+             b"after", False, ())
+    replica.buffered = [("request", before, (196, 3)),
+                        ("request", after, (200, 1))]
+    sent = []
+    engine.groups.send = lambda groups, payload, **kw: sent.append(payload)
+    sponsor = system.engine("n1")
+    engine._consider_capture(
+        replica, sponsor._capture(sponsor.replica("ctr")), "n1")
+    assert replica.buffered == [("request", after, (200, 1))]
+    assert [p[0] for p in sent] == ["ft-request", "ft-reconciled"]
+    assert sent[0] == before
 
 
 def test_client_reply_cache_resolves_late_issuer():

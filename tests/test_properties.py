@@ -4,8 +4,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.orb.cdr import decode_value, encode_value
-from repro.replication import DuplicateTables, OperationIdAllocator
-from repro.state import IncrementalAssembler, IncrementalTransfer, MessageLog
+from repro.replication import OperationIdAllocator, OperationTable
+from repro.replication.duplicates import IntervalSet, RetiredOperations
+from repro.state import IncrementalAssembler, IncrementalTransfer
 from repro.totem import TotemCluster
 
 # ----------------------------------------------------------------------
@@ -100,19 +101,70 @@ op_ids = st.tuples(
     st.lists(op_ids, max_size=10),
 )
 @settings(max_examples=100)
-def test_duplicate_tables_round_trip_property(statuses, replies_seen):
-    tables = DuplicateTables()
+def test_operation_table_round_trip_property(statuses, replies_seen):
+    table = OperationTable()
     for op, status in statuses:
-        tables.note_executing(op)
+        table.note_executing(op, b"q", "cg", False, (4, 1))
         if status == "completed":
-            tables.note_completed(op, b"r")
+            table.note_completed(op, b"r")
     for op in replies_seen:
-        tables.note_reply_seen(op)
-    snapshot = decode_value(encode_value(tables.capture()))
-    restored = DuplicateTables.restore(snapshot)
-    assert restored.request_status == tables.request_status
-    assert restored.reply_cache == tables.reply_cache
-    assert restored.replies_seen == tables.replies_seen
+        table.note_reply_seen(op)
+    snapshot = decode_value(encode_value(table.capture()))
+    restored = OperationTable.restore(snapshot)
+    for op, status in statuses:
+        # Only completions are adopted; in-flight work stays the sponsor's.
+        expected = "completed" if status == "completed" else None
+        assert restored.status(op) == expected
+        if expected:
+            assert restored.cached_reply(op) == table.cached_reply(op)
+        if op in restored.live:   # else retired on adoption: acked, no bytes
+            assert (restored.reply_already_seen(op)
+                    == table.reply_already_seen(op))
+
+
+# ----------------------------------------------------------------------
+# Interval set / retired tier: a plain set is the model
+# ----------------------------------------------------------------------
+
+@given(st.lists(st.integers(0, 60)), st.lists(st.integers(0, 60)))
+@settings(max_examples=200)
+def test_interval_set_matches_plain_set(left, right):
+    model = set()
+    intervals = IntervalSet()
+    for number in left:
+        intervals.add(number)
+        model.add(number)
+        assert all((n in intervals) == (n in model) for n in range(-1, 62))
+    ranges = intervals.ranges()
+    assert all(lo <= hi for lo, hi in ranges)
+    # Disjoint, sorted and non-adjacent: the representation is canonical.
+    assert all(a[1] + 1 < b[0] for a, b in zip(ranges, ranges[1:]))
+    restored = IntervalSet(decode_value(encode_value(intervals.as_value())))
+    assert restored.ranges() == ranges
+    # Merging another side's ranges is set union.
+    other = IntervalSet()
+    for number in right:
+        other.add(number)
+    for lo, hi in other.ranges():
+        intervals.add_range(lo, hi)
+    model |= set(right)
+    assert {n for n in range(-1, 62) if n in intervals} == model
+
+
+@given(st.lists(op_ids, max_size=30))
+@settings(max_examples=100)
+def test_retired_operations_lossless_property(ops):
+    retired = RetiredOperations()
+    for op in ops:
+        retired.add(op)
+    restored = RetiredOperations.from_value(
+        decode_value(encode_value(retired.as_value())))
+    for op in ops:
+        assert op in retired and op in restored
+    # Lossless: nothing that was not added is reported.
+    for kind, group, number in ops:
+        assert ((kind, group, number + 1) in restored) == (
+            (kind, group, number + 1) in set(ops))
 
 
 # ----------------------------------------------------------------------
@@ -125,30 +177,6 @@ def test_operation_ids_unique_property(count, group):
     alloc = OperationIdAllocator(group)
     ids = [alloc.next_top_level() for _ in range(count)]
     assert len(set(ids)) == count
-
-
-# ----------------------------------------------------------------------
-# Message log: positions monotone, checkpoint resets cleanly
-# ----------------------------------------------------------------------
-
-@given(st.lists(st.booleans(), max_size=60))
-@settings(max_examples=100)
-def test_message_log_positions_property(ops):
-    """True entries append a record; False entries checkpoint."""
-    log = MessageLog()
-    appended = 0
-    for is_append in ops:
-        if is_append:
-            appended += 1
-            position = log.append(("c", "g", appended), "op", ())
-            assert position == appended
-        else:
-            log.checkpoint({"n": appended})
-            assert log.length == 0
-            assert log.checkpoint_position == appended
-    positions = [r.position for r in log.replay_records()]
-    assert positions == sorted(positions)
-    assert all(p > log.checkpoint_position for p in positions)
 
 
 # ----------------------------------------------------------------------

@@ -123,7 +123,7 @@ def test_duplicate_replies_suppressed():
     # accepted, and the client's counter reflects single execution.
     assert system.call(stub.read()) == 5
     stats = [
-        r.tables.suppressed_replies for r in system.replicas_of("ctr").values()
+        r.table.suppressed_replies for r in system.replicas_of("ctr").values()
     ]
     # With three replicas racing, some replies are suppressed at senders
     # (cancelled while queued) -- at least the accounting must be present.

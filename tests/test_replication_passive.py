@@ -123,7 +123,7 @@ def test_cold_backups_do_not_apply_until_checkpoint():
     replicas = system.replicas_of("ctr")
     assert replicas["n1"].servant.value == 4
     assert replicas["n2"].servant.value == 0  # no checkpoint yet
-    assert len(replicas["n2"].pending_requests) == 4  # but everything logged
+    assert len(replicas["n2"].table.pending_in_order()) == 4  # but everything logged
 
 
 def test_cold_checkpoint_truncates_backup_logs():
@@ -136,7 +136,7 @@ def test_cold_checkpoint_truncates_backup_logs():
     system.run_for(0.5)
     replicas = system.replicas_of("ctr")
     assert replicas["n2"].servant.value == 3  # checkpoint applied
-    assert len(replicas["n2"].pending_requests) == 0
+    assert len(replicas["n2"].table.pending_in_order()) == 0
 
 
 def test_cold_failover_replays_log():
@@ -167,7 +167,7 @@ def test_semi_active_only_leader_replies_but_all_execute():
     assert system.sim.trace.count("ft.state.update.sent") == 0
     # ...but followers never sent replies.
     followers = [r for r in system.replicas_of("ctr").values() if not r.is_primary]
-    assert all(f.tables.suppressed_replies >= 4 for f in followers)
+    assert all(f.table.suppressed_replies >= 4 for f in followers)
 
 
 def test_semi_active_failover():

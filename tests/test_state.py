@@ -1,4 +1,4 @@
-"""Unit tests for state capture, logging, and transfer mechanisms."""
+"""Unit tests for state capture and transfer mechanisms."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.state import (
     FullStateCapture,
     IncrementalAssembler,
     IncrementalTransfer,
-    MessageLog,
     StateImage,
     capture_full_state,
     restore_full_state,
@@ -41,28 +40,6 @@ def test_blocking_transfer_round_trip():
     sink = KeyValueStore()
     BlockingTransfer.apply(sink, data)
     assert sink.data == {"k": [1, 2, 3]}
-
-
-def test_message_log_append_and_replay():
-    log = MessageLog()
-    log.append(("c", "g", 1), "increment", (1,))
-    log.append(("c", "g", 2), "increment", (2,))
-    records = log.replay_records()
-    assert [r.operation_id for r in records] == [("c", "g", 1), ("c", "g", 2)]
-    assert [r.position for r in records] == [1, 2]
-
-
-def test_message_log_checkpoint_truncates():
-    log = MessageLog()
-    for i in range(5):
-        log.append(("c", "g", i), "op", ())
-    log.checkpoint({"value": 5})
-    assert log.length == 0
-    assert log.checkpoint_position == 5
-    assert log.checkpoint_state == {"value": 5}
-    log.append(("c", "g", 99), "op", ())
-    assert [r.position for r in log.replay_records()] == [6]
-    assert log.since(6) == []
 
 
 def test_incremental_transfer_chunks_cover_snapshot():
