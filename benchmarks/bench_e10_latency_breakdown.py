@@ -7,8 +7,8 @@ frame), and the tracker attributes each inter-mark interval to a layer:
 
 - interception: divert + FT envelope + GIOP encode (intercept -> enqueue)
 - totem:        token wait + ordering                (enqueue -> sent)
-- wire:         framing + network transit            (sent -> delivered)
-- replication:  suppression tables + dispatch        (delivered -> executed)
+- wire:         framing                              (sent -> delivered)
+- replication:  transit + suppression + dispatch     (delivered -> executed)
 - runtime:      reply multicast + future resolution  (executed -> reply)
 
 Both substrates report from the *same span data structures*: the
@@ -39,14 +39,17 @@ REQUESTS = 8 if _SMOKE else 30
 PAYLOAD_BYTES = 512
 
 LAYERS = [layer for layer, _start, _end in LAYER_INTERVALS]
+WIRE_NOTE = ("delivery overlaps ordering: the sender delivers its own "
+             "message at the token visit that orders it, so the wire "
+             "interval collapses into send time and transit shows up "
+             "under replication")
 
 
-def run_experiment(runtime_kind="sim", requests=None, pipelined=False):
+def run_experiment(runtime_kind="sim", requests=None):
     """Returns (per-layer latency lists, end-to-end list, telemetry)."""
     requests = REQUESTS if requests is None else requests
     system, ior = replicated_system(
         ReplicationStyle.ACTIVE, runtime_kind=runtime_kind,
-        pipelined=pipelined,
     )
     try:
         stub = system.stub(CLIENT_NODE, ior)
@@ -59,10 +62,9 @@ def run_experiment(runtime_kind="sim", requests=None, pipelined=False):
                              timeout=60.0)
         layers = telemetry.spans.layer_durations()
         end_to_end = telemetry.spans.end_to_end_durations()
-        suffix = "_pipelined" if pipelined else ""
         recorder_name = (
-            "e10_flight_recorder%s.jsonl" % suffix if runtime_kind == "sim"
-            else "e10_flight_recorder%s_asyncio.jsonl" % suffix)
+            "e10_flight_recorder.jsonl" if runtime_kind == "sim"
+            else "e10_flight_recorder_asyncio.jsonl")
         telemetry.recorder.dump(os.path.join(results_dir(), recorder_name))
         return layers, end_to_end, telemetry
     finally:
@@ -97,6 +99,7 @@ def test_e10_latency_breakdown(benchmark):
     table = build_table(layers, end_to_end)
     table.note("layer intervals come from one span per invocation; "
                "in virtual time synchronous stages cost exactly zero")
+    table.note(WIRE_NOTE)
     table.emit("e10_latency_breakdown")
 
     # One complete span per measured request, every layer populated.
@@ -108,31 +111,12 @@ def test_e10_latency_breakdown(benchmark):
     for index in range(REQUESTS):
         total = sum(layers[layer][index] for layer in LAYERS)
         assert abs(total - end_to_end[index]) < 1e-9
-    # The wire hop costs real virtual time; the Totem token wait dominates.
-    assert summarize(layers["wire"]).mean > 0.0
+    # The sender delivers its own message at the visit that orders it, so
+    # the wire interval is zero; the token wait is real virtual time.
     assert summarize(layers["totem"]).mean > 0.0
     # The flight recorder captured the run and exports deterministically.
     lines = telemetry.recorder.export_lines()
     assert lines and all(line.startswith("{") for line in lines)
-
-
-def test_e10_pipelined_spans_tile(benchmark):
-    """Attribution holds on the overhauled data path too.
-
-    With pipelining the wire interval legitimately collapses to zero
-    (delivery overlaps ordering), but the five layer intervals must
-    still tile every end-to-end span exactly -- no latency may escape
-    attribution just because the stages overlap.
-    """
-    layers, end_to_end, _telemetry = benchmark.pedantic(
-        run_experiment, kwargs={"pipelined": True}, rounds=1, iterations=1
-    )
-    assert len(end_to_end) == REQUESTS
-    for index in range(REQUESTS):
-        total = sum(layers[layer][index] for layer in LAYERS)
-        assert abs(total - end_to_end[index]) < 1e-9
-    for layer in LAYERS:
-        assert all(duration >= 0.0 for duration in layers[layer])
 
 
 def main(argv=None):
@@ -143,24 +127,14 @@ def main(argv=None):
         "--runtime", choices=("sim", "asyncio"), default="sim",
         help="sim: deterministic virtual time; asyncio: real UDP sockets",
     )
-    parser.add_argument(
-        "--pipelined", action="store_true",
-        help="enable the opt-in data path: pipelined token visits, "
-             "batched flushes, encode-once frames",
-    )
     options = parser.parse_args(argv)
     requests = 10 if options.runtime == "asyncio" else REQUESTS
     layers, end_to_end, _telemetry = run_experiment(
         runtime_kind=options.runtime, requests=requests,
-        pipelined=options.pipelined,
     )
     table = build_table(layers, end_to_end, runtime_kind=options.runtime)
     name = "e10_latency_breakdown"
-    if options.pipelined:
-        name += "_pipelined"
-        table.note("pipelined data path: delivery overlaps ordering, so "
-                   "the wire interval collapses into send time and transit "
-                   "shows up under replication")
+    table.note(WIRE_NOTE)
     if options.runtime == "asyncio":
         table.note("wall-clock on localhost UDP; same span mark points as "
                    "the simulated run, machine-dependent magnitudes")

@@ -44,7 +44,9 @@ _SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 NODES = ["s%d" % (i + 1) for i in range(8)]
 GROUPS = 4
 RING_COUNTS = (1, 2, 4)
-OPS_PER_GROUP = 4 if _SMOKE else 24
+# Elapsed time is read in 1 ms steps of virtual time (``wait_for``), so the
+# smoke sweep needs enough operations for the 4-ring case to span several.
+OPS_PER_GROUP = 12 if _SMOKE else 24
 
 
 def ring_topology(ring_count):

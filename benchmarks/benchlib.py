@@ -34,16 +34,10 @@ def make_runtime(runtime_kind, seed=0):
     raise ValueError("unknown runtime kind %r" % (runtime_kind,))
 
 
-def totem_config_for(runtime_kind, pipelined=False):
-    """The Totem config a benchmark system should run.
-
-    ``pipelined`` turns on the data-path overhaul's opt-in fast path
-    (pipelined token visits + encode-once batches); the default keeps
-    the byte-identical pre-overhaul protocol.
-    """
-    if runtime_kind == "asyncio":
-        return TotemConfig.realtime(pipelining=pipelined)
-    return TotemConfig(pipelining=True) if pipelined else None
+def totem_config_for(runtime_kind):
+    """The Totem config a benchmark system should run: wall-clock timers
+    on real sockets, the simulation defaults otherwise."""
+    return TotemConfig.realtime() if runtime_kind == "asyncio" else None
 
 
 def drive(sim, client, timeout=120.0, step=0.01):
@@ -100,13 +94,13 @@ def unreplicated_latencies(payload_bytes, requests, seed=0, runtime_kind="sim"):
 
 def replicated_system(style, replicas=3, seed=0, extra_nodes=(),
                       policy_overrides=None, servant_factory=EchoServer,
-                      group="bench", runtime_kind="sim", pipelined=False):
+                      group="bench", runtime_kind="sim"):
     """An EternalSystem with one replicated object and a client node."""
     nodes = ["s%d" % (i + 1) for i in range(replicas)] + [CLIENT_NODE]
     nodes += list(extra_nodes)
     system = EternalSystem(
         nodes, seed=seed,
-        totem_config=totem_config_for(runtime_kind, pipelined=pipelined),
+        totem_config=totem_config_for(runtime_kind),
         runtime=make_runtime(runtime_kind, seed=seed),
     ).start()
     system.stabilize(timeout=15.0 if runtime_kind == "asyncio" else 5.0)

@@ -30,6 +30,9 @@ from repro.telemetry import Telemetry
 
 _MAX_PORT_NAME = 255
 
+#: Receive-buffer size: no UDP datagram is longer than 65 507 bytes.
+MAX_DATAGRAM = 65536
+
 # Port names are a handful of short constants ("totem", "orb", ...), so
 # the length-prefixed name header is cached per port: steady-state
 # framing is one dict hit plus one join, never an encode.
@@ -255,6 +258,13 @@ class AsyncioRuntime(Runtime):
                 local_addr=(self.host, port),
             )
         )
+        # asyncio's datagram transport allocates ``max_size`` bytes for every
+        # recvfrom and shrinks the result: 256 KiB by default, four times
+        # what a UDP datagram can carry and above glibc's heap-trim
+        # threshold, so a loop that never idles pays a brk()/page-fault
+        # round per datagram once those buffers sit at the top of the heap.
+        if hasattr(transport, "max_size"):
+            transport.max_size = MAX_DATAGRAM
         endpoint._transport = transport
         endpoint.address = transport.get_extra_info("sockname")[:2]
         self.endpoints[node_id] = endpoint

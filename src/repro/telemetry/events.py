@@ -145,6 +145,11 @@ register_category("totem.token.retransmit", ("node", "ring_id"),
                   "token retransmitted")
 register_category("totem.token.lost", ("node", "ring_id"),
                   "token loss timeout fired")
+register_category("totem.token.hold", ("node", "ring_id"),
+                  "representative parked the token of an idle ring")
+register_category("totem.token.hold_cancel", ("node", "ring_id"),
+                  "member with something to send asked for the parked "
+                  "token (one unicast frame to the representative)")
 register_category("totem.foreign", ("node", "src", "ring_id"),
                   "traffic from a foreign ring observed (merge trigger)")
 register_category("totem.gather", ("node", "reason", "ring_id"),

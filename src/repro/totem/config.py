@@ -13,13 +13,14 @@ class RetransmitBudgetExceeded(RuntimeError):
 class TotemConfig:
     """Protocol parameters for one :class:`~repro.totem.TotemProcessor`.
 
-    Every protocol message is encoded into :mod:`repro.wire` frames, and
-    all regular messages broadcast during one token visit travel as one
-    framed batch; neither is configurable.
+    There is one data path and nothing here selects another: every
+    protocol message is a :mod:`repro.wire` frame, a token visit flushes
+    the visitor's whole send queue as framed batches *before* forwarding
+    the token.  Only the representative ever keeps the token: for
+    :attr:`idle_hold` on an idle ring, and on a busy one for whatever is
+    left of :attr:`min_rotation` since it last released it.
 
     Attributes:
-        token_hold: processing delay before forwarding the token, seconds
-            (the pipelined path forwards with zero hold instead).
         token_retransmit_timeout: how long the last token sender waits for
             evidence of progress before resending the token.
         token_retransmit_limit: resend attempts before declaring token loss.
@@ -35,9 +36,8 @@ class TotemConfig:
             messages during recovery before re-requesting them.
         recovery_attempt_limit: re-request rounds before giving up on a
             recovery and re-running the membership protocol.
-        window: maximum new messages a processor may broadcast per token
-            visit (flow control).  The pipelined path flushes its whole
-            queue and uses ``window`` only to cap messages per datagram.
+        window: maximum messages per broadcast datagram.  A token visit
+            flushes the whole send queue, ``window`` messages to a frame.
         beacon_interval: period of the representative's ring-advertisement
             broadcast, which is how remerged components discover each other.
         retransmit_budget: optional per-run cap on total retransmissions
@@ -48,27 +48,10 @@ class TotemConfig:
             storm (the campaign-sweep seed-5 blowup) into a prompt,
             attributable failure instead of minutes of silent churn.
             ``None`` (the default) never trips; the counter still counts.
-        pipelining: overlap ordering with delivery (default off).
-            ``send`` disseminates the payload bytes at once and the token
-            visit orders them with a small stub.  A pipelined token visit
-            flushes the *whole* send queue (batching across invocations,
-            not capped by ``window``), inserts and delivers the sender's
-            own messages the moment their sequence numbers are settled
-            (instead of waiting for the loopback self-delivery),
-            broadcasts the stubs and data *before* forwarding the token
-            -- so downstream nodes hold the ordered messages when the
-            token reaches them -- forwards the token with zero hold, and
-            gives first-seen sequence gaps a one-visit grace before
-            requesting retransmission.  The grace also ends the default
-            path's rebroadcast of every fresh message: the sender's own
-            seqs are in its store before the rtr scan runs.  Off, the
-            token visit emits exactly what ``tests/golden_datapath.json``
-            pins.
     """
 
     def __init__(
         self,
-        token_hold=30e-6,
         token_retransmit_timeout=0.005,
         token_retransmit_limit=5,
         token_loss_timeout=0.02,
@@ -80,9 +63,7 @@ class TotemConfig:
         window=64,
         beacon_interval=0.05,
         retransmit_budget=None,
-        pipelining=False,
     ):
-        self.token_hold = token_hold
         self.token_retransmit_timeout = token_retransmit_timeout
         self.token_retransmit_limit = token_retransmit_limit
         self.token_loss_timeout = token_loss_timeout
@@ -94,7 +75,37 @@ class TotemConfig:
         self.window = window
         self.beacon_interval = beacon_interval
         self.retransmit_budget = retransmit_budget
-        self.pipelining = pipelining
+
+    @property
+    def idle_hold(self):
+        """How long the representative parks the token of an idle ring.
+
+        Derived, not set: half of ``token_retransmit_timeout``.  The
+        representative's predecessor sees no progress while the token is
+        parked, so hold plus one rotation must fit inside its retransmit
+        timeout or every idle rotation would be read as a lost token;
+        being a fixed fraction, the invariant ``idle_hold <
+        token_retransmit_timeout`` holds for every way a config is
+        built (constructor, :meth:`copy`, :meth:`realtime`).
+        """
+        return self.token_retransmit_timeout / 2
+
+    @property
+    def min_rotation(self):
+        """The shortest period at which a busy ring's token rotates.
+
+        Derived like :attr:`idle_hold`: ``token_retransmit_timeout / 25``
+        (2 ms on :meth:`realtime`, 0.2 ms -- two default link hops, so
+        never felt -- on the simulator defaults).  The representative
+        releases the token at most once per period, on a fixed-rate
+        schedule.  Without it a ring with any work in flight spins at
+        whatever rate the CPU allows: the process is CPU-bound at one
+        closed-loop caller, every latency is that machine's CPU speed at
+        that moment, and nothing is left for the application.  With it,
+        rotations cheaper than the period run at exactly the period and
+        the rest are unaffected.
+        """
+        return self.token_retransmit_timeout / 25
 
     def copy(self, **overrides):
         """A copy of this config with selected fields replaced."""
@@ -108,7 +119,7 @@ class TotemConfig:
     def realtime(cls, **overrides):
         """Timers suited to wall-clock execution over real sockets.
 
-        The simulation defaults (microsecond token hold, 20 ms token-loss
+        The simulation defaults (5 ms token retransmit, 20 ms token-loss
         timeout) assume a perfectly timely scheduler; a real event loop
         under load would read its own scheduling hiccups as token loss and
         thrash through re-gathers.  This preset widens every timer to
@@ -117,7 +128,6 @@ class TotemConfig:
         the paper's measured testbed rather than its idealized model.
         """
         fields = dict(
-            token_hold=0.002,
             token_retransmit_timeout=0.05,
             token_loss_timeout=0.2,
             join_interval=0.05,

@@ -12,9 +12,8 @@ from repro.wire.codec import (
     KIND_TOTEM_BEACON,
     KIND_TOTEM_COMMIT,
     KIND_TOTEM_DATA,
-    KIND_TOTEM_EAGER,
+    KIND_TOTEM_HOLD_CANCEL,
     KIND_TOTEM_JOIN,
-    KIND_TOTEM_ORDER,
     KIND_TOTEM_RECOVERY_DONE,
     KIND_TOTEM_RECOVERY_REQUEST,
     KIND_TOTEM_TOKEN,
@@ -209,106 +208,29 @@ class Token:
         )
 
 
-@register(KIND_TOTEM_EAGER, "totem-eager")
-class EagerData:
-    """Unordered early dissemination of a multicast payload (pipelining).
+@register(KIND_TOTEM_HOLD_CANCEL, "totem-hold-cancel")
+class HoldCancel:
+    """A member with something to send asks the representative to stop
+    holding the idle ring's token.  Carries the ring id and nothing else:
+    the datagram's source names the sender, and a cancel for any other
+    ring configuration is ignored."""
 
-    The pipelined data path splits dissemination from ordering: the
-    payload bytes are broadcast the moment the sender enqueues them,
-    named by ``(sender, eager_id)``, and the sequence number follows as
-    an :class:`OrderStub` entry at the sender's next token visit.
-    Receivers buffer the payload until its stub arrives, so the payload
-    serialization overlaps the sender's token wait instead of sitting on
-    the post-token critical path.  Like ``DataMessage``, the body is
-    padded to the declared application payload ``size``.
-    """
+    __slots__ = ("ring",)
 
-    __slots__ = ("ring", "sender", "eager_id", "payload", "size",
-                 "guarantee", "span")
-
-    def __init__(self, ring, sender, eager_id, payload, size, guarantee,
-                 span=None):
+    def __init__(self, ring):
         self.ring = ring
-        self.sender = sender
-        self.eager_id = eager_id
-        self.payload = payload
-        self.size = size
-        self.guarantee = guarantee
-        self.span = span
 
     def encode_wire(self, enc):
         self.ring.encode_wire(enc)
-        enc.string(self.sender).ulong(self.eager_id)
-        enc.octet(_GUARANTEE_CODE[self.guarantee])
-        enc.octet(1 if self.span is not None else 0)
-        if self.span is not None:
-            enc.string(self.span)
-        enc.ulong(self.size)
-        body_start = len(enc.getvalue())
-        enc.value(self.payload)
-        encoded = len(enc.getvalue()) - body_start
-        enc.raw(b"\x00" * max(0, self.size - encoded))
 
     @classmethod
     def decode_wire(cls, dec):
-        ring = RingId.decode_wire(dec)
-        sender = dec.string()
-        eager_id = dec.ulong()
-        guarantee = _GUARANTEE_NAME[dec.octet()]
-        span = dec.string() if dec.octet() else None
-        size = dec.ulong()
-        before = dec.remaining()
-        payload = dec.value()
-        encoded = before - dec.remaining()
-        dec.skip(max(0, size - encoded))
-        return cls(ring, sender, eager_id, payload, size, guarantee,
-                   span=span)
+        return cls(RingId.decode_wire(dec))
 
     __eq__ = _slots_eq
 
     def __repr__(self):
-        return "EagerData(ring=%d, from=%s, id=%d)" % (
-            self.ring.seq, self.sender, self.eager_id,
-        )
-
-
-@register(KIND_TOTEM_ORDER, "totem-order")
-class OrderStub:
-    """Sequence assignments for eagerly-disseminated payloads.
-
-    One stub settles the order of a whole token-visit flush: each entry
-    binds a freshly drawn sequence number to the ``(sender, eager_id)``
-    of a payload that already travelled as :class:`EagerData`.  The stub
-    is tiny, so the token is delayed by a few header bytes instead of
-    the full payload serialization.  A receiver missing the payload
-    simply leaves a gap; the normal rtr machinery then recovers a
-    self-contained ``DataMessage`` copy from the sender's store.
-    """
-
-    __slots__ = ("ring", "entries")
-
-    def __init__(self, ring, entries):
-        self.ring = ring
-        self.entries = tuple((seq, sender, eager_id)
-                             for seq, sender, eager_id in entries)
-
-    def encode_wire(self, enc):
-        self.ring.encode_wire(enc)
-        enc.ulong(len(self.entries))
-        for seq, sender, eager_id in self.entries:
-            enc.ulong(seq).string(sender).ulong(eager_id)
-
-    @classmethod
-    def decode_wire(cls, dec):
-        ring = RingId.decode_wire(dec)
-        entries = [(dec.ulong(), dec.string(), dec.ulong())
-                   for _ in range(dec.ulong())]
-        return cls(ring, entries)
-
-    __eq__ = _slots_eq
-
-    def __repr__(self):
-        return "OrderStub(ring=%d, n=%d)" % (self.ring.seq, len(self.entries))
+        return "HoldCancel(ring=%d)" % self.ring.seq
 
 
 @register(KIND_TOTEM_BEACON, "totem-beacon")

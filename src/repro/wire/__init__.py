@@ -18,9 +18,8 @@ from repro.wire.codec import (
     KIND_TOTEM_BEACON,
     KIND_TOTEM_COMMIT,
     KIND_TOTEM_DATA,
-    KIND_TOTEM_EAGER,
+    KIND_TOTEM_HOLD_CANCEL,
     KIND_TOTEM_JOIN,
-    KIND_TOTEM_ORDER,
     KIND_TOTEM_RECOVERY_DONE,
     KIND_TOTEM_RECOVERY_REQUEST,
     KIND_TOTEM_TOKEN,
@@ -70,8 +69,7 @@ __all__ = [
     "KIND_TOTEM_DATA",
     "KIND_TOTEM_TOKEN",
     "KIND_TOTEM_BEACON",
-    "KIND_TOTEM_EAGER",
-    "KIND_TOTEM_ORDER",
+    "KIND_TOTEM_HOLD_CANCEL",
     "KIND_TOTEM_JOIN",
     "KIND_TOTEM_COMMIT",
     "KIND_TOTEM_RECOVERY_REQUEST",

@@ -36,8 +36,9 @@ KIND_TOTEM_JOIN = 0x13
 KIND_TOTEM_COMMIT = 0x14
 KIND_TOTEM_RECOVERY_REQUEST = 0x15
 KIND_TOTEM_RECOVERY_DONE = 0x16
-KIND_TOTEM_EAGER = 0x17
-KIND_TOTEM_ORDER = 0x18
+# 0x17 and 0x18 carried the eager-dissemination frames; the numbers are
+# retired, not reused -- a datagram of either kind is an unknown-kind drop.
+KIND_TOTEM_HOLD_CANCEL = 0x19
 
 # ORB transport segments (0x20--0x2F).
 KIND_TCP_SYN = 0x20

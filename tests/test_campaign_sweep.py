@@ -43,22 +43,21 @@ SEEDS = range(16)
 
 # Empirically failing at the pinned scale (see module docstring).
 # Which seeds trip is decided by microseconds: any change to the size of
-# a frame re-times every churn-heavy schedule.  PR 15 added the ack
-# field to the REQUEST envelope and shrank every state capture, which
-# moved the parent's pinned seed (15, replica-convergence) and exposed
-# three reconciliation holes on seeds 1, 7 and 15; all three are fixed
-# (a frozen side representative that no longer travels with the replica
-# is re-derived; a view member that did not move with us through the
-# transitional configuration gets a capture; requests the secondary side
-# stalled before the merge go back into the total order).  What remains
-# is one seed, and not a reconciliation bug.
+# a frame or to when the token moves re-times every churn-heavy schedule.
+# PR 15 (ack field, smaller captures) moved the pin 15 -> 9; PR 16 (one
+# zero-hold token visit, idle hold at the representative) re-timed them
+# again: seeds 9 and 31, the sole-copy crashes the parent tree failed on
+# 0-55, pass, and the one seed of 0-55 that fails now is of the older
+# kind this file was created for -- a crash inside a fulfillment replay.
 FAILING_SEEDS = {
-    9: "no-lost-operation: under an 8 % loss burst s2 forms a ring with "
-       "the gateways alone, executes and acknowledges one deposit, and "
-       "crashes 0.8 s later; the one ring it shared with s1 in between "
-       "lost its token before s1's capture got a visit, so the only "
-       "copy of the operation died with the process (ROADMAP: residual "
-       "exactly-once violations under extreme churn)",
+    2: "replica-convergence (catalog, WARM_PASSIVE): s5, cut off with one "
+       "gateway under a 9 % loss burst, executes one `reserve` alone; at "
+       "the remerge it adopts the primary side's capture, re-issues the "
+       "operation as a fulfillment and crashes 15 ms later, inside the "
+       "replay.  The primary s4 executes the replayed request when its "
+       "merge stall is released and answers it, but no state update "
+       "follows it to the backup s6, which ends one ledger entry short "
+       "(ROADMAP: residual exactly-once violations under extreme churn)",
 }
 
 # Seeds whose schedules trigger a pathological blowup.  Seed 5 used to

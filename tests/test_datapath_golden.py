@@ -1,11 +1,11 @@
-"""Pinned flight-recorder goldens: the default data path never drifts.
+"""Pinned flight-recorder goldens: the only data path is deterministic.
 
-The data-path overhaul (pipelined Totem ordering, encode-once frames,
-runtime tightening) is opt-in: with every toggle off the protocol must
-produce *byte-identical* telemetry to the tree before the refactor.
-``test_telemetry_determinism`` only proves run-to-run stability within
-one tree; this test pins the actual bytes, captured on the pre-refactor
-tree, so a silent behavioral change in the default path fails loudly.
+There is one Totem data path and no switch that selects another, so the
+pin no longer compares against a tree "before the refactor": it says
+that the same seed produces the same bytes -- twice in one process, and
+equal to the hash committed in ``golden_datapath.json`` -- so a silent
+behavioural change to the path everything runs on fails loudly instead
+of shifting every benchmark a little.
 
 Regenerate (only when a deliberate protocol change lands):
 
@@ -17,14 +17,14 @@ import json
 import os
 import sys
 
+import pytest
+
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_datapath.json")
 
 
-# Counters added by the data-path overhaul itself: purely observational
-# (cache hits, damping decisions, trace retention) and expected to be
-# non-zero even with every toggle off.  They are excluded from the
-# metrics fingerprint; the JSONL hash -- unfiltered -- is what pins the
-# protocol's actual behavior.
+# Purely observational counters (cache hits, flush sizes, damping
+# decisions, trace retention) are excluded from the metrics fingerprint;
+# the JSONL hash -- unfiltered -- is what pins the protocol's behaviour.
 _OVERHAUL_COUNTERS = (
     "wire.encode.cached",
     "totem.pipeline.",
@@ -73,10 +73,9 @@ def _scenario_counter():
 def _scenario_churn_two_ring():
     """Two co-hosted rings plus a crash/recover cycle.
 
-    Exercises the paths the overhaul touches most: RingMux peeking, the
-    membership protocol (gather/commit/recovery joins), and cross-ring
-    frame drops -- the traffic the join damping must NOT alter in quiet
-    formations.
+    Exercises RingMux peeking, the membership protocol (gather/commit/
+    recovery joins) and cross-ring frame drops -- the traffic the join
+    damping must NOT alter in quiet formations.
     """
     from repro.core import EternalSystem
     from repro.replication import GroupPolicy, ReplicationStyle
@@ -115,12 +114,11 @@ def _load_golden():
         return json.load(handle)
 
 
-def test_counter_matches_pre_refactor_golden():
-    assert _scenario_counter() == _load_golden()["counter"]
-
-
-def test_churn_two_ring_matches_pre_refactor_golden():
-    assert _scenario_churn_two_ring() == _load_golden()["churn_two_ring"]
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_same_seed_same_bytes_and_the_pinned_hash(name):
+    first = SCENARIOS[name]()
+    assert SCENARIOS[name]() == first
+    assert first == _load_golden()[name]
 
 
 if __name__ == "__main__":

@@ -35,3 +35,25 @@ def test_frame_datagram_rejects_bad_inputs():
         _frame_datagram("totem", "not-bytes")
     with pytest.raises(TypeError):
         _frame_datagram("totem", ("tuple",))
+
+
+# --------------------------------------------------------- receive buffer
+
+def test_receive_buffer_is_datagram_sized_and_carries_the_largest_datagram():
+    """asyncio allocates ``max_size`` bytes per recvfrom; ours is one UDP
+    datagram (not the 256 KiB default, which thrashes the heap top once
+    the loop stops idling) and still receives the largest one whole."""
+    from repro.runtime.aio import MAX_DATAGRAM, AsyncioRuntime
+
+    runtime = AsyncioRuntime(seed=0)
+    try:
+        a, b = runtime.add_node("a"), runtime.add_node("b")
+        assert a._transport.max_size == b._transport.max_size == MAX_DATAGRAM
+        received = []
+        b.bind("p", lambda src, payload, size: received.append(bytes(payload)))
+        largest = bytes(65507 - len(_frame_datagram("p", b"")))
+        a.send("b", "p", largest)
+        runtime.run_for(0.05)
+        assert received == [largest]
+    finally:
+        runtime.close()

@@ -22,10 +22,9 @@ from repro.state.transfer import StateChunk, StateImage
 from repro.totem.messages import (
     CommitToken,
     DataMessage,
-    EagerData,
+    HoldCancel,
     JoinMessage,
     MemberInfo,
-    OrderStub,
     RecoveryDone,
     RecoveryRequest,
     RingBeacon,
@@ -114,23 +113,7 @@ def _strategies():
             rotation_min=ulong,
             safe_seq=ulong,
         ),
-        EagerData: st.builds(
-            EagerData,
-            ring=ring_id,
-            sender=node_id,
-            eager_id=ulong,
-            payload=value,
-            size=st.integers(min_value=0, max_value=256),
-            guarantee=st.sampled_from(["agreed", "safe"]),
-            span=st.one_of(st.none(), st.text(max_size=24)),
-        ),
-        OrderStub: st.builds(
-            OrderStub,
-            ring=ring_id,
-            entries=st.lists(
-                st.tuples(ulong, node_id, ulong), max_size=6
-            ),
-        ),
+        HoldCancel: st.builds(HoldCancel, ring=ring_id),
         RingBeacon: st.builds(RingBeacon, ring=ring_id, sender=node_id),
         JoinMessage: st.builds(
             JoinMessage,
@@ -308,6 +291,28 @@ def test_nested_batch_rejected():
 def test_unknown_kind_rejected():
     with pytest.raises(WireFormatError):
         decode_payload(encode_frame(0x7F, b""))
+
+
+@pytest.mark.parametrize("kind", [0x17, 0x18], ids=["eager", "order-stub"])
+def test_retired_totem_kinds_are_counted_drops_not_reused(kind):
+    """0x17/0x18 carried the deleted eager-dissemination frames.  The
+    numbers stay unassigned, so a datagram from an old sender is an
+    unknown kind: one ``totem.wire.error``, nothing dispatched."""
+    from repro.totem import TotemCluster
+
+    assert kind not in registered_kinds()
+    cluster = TotemCluster(["n1", "n2"]).start()
+    cluster.run_until_stable(timeout=2.0)
+    ring = cluster.processors["n1"].ring
+    body = encode(RingBeacon(ring, "n2"))[HEADER_BYTES:]
+    errors = cluster.runtime.trace.count("totem.wire.error")
+    cluster.net.send("n2", "n1", "totem", encode_frame(kind, body))
+    cluster.sim.run_for(0.01)
+    assert cluster.runtime.trace.count("totem.wire.error") == errors + 1
+    cluster.processors["n2"].send("still ordering")
+    cluster.sim.run_for(0.1)
+    assert [d.payload for d in cluster.deliveries["n1"]
+            if d.payload == "still ordering"] == ["still ordering"]
 
 
 def test_bad_magic_and_version_rejected():
