@@ -14,7 +14,7 @@ Quick tour of the layers (bottom-up):
 - :mod:`repro.interception` -- the GIOP interception point;
 - :mod:`repro.replication` -- the Eternal replication mechanisms (the
   paper's contribution);
-- :mod:`repro.state`, :mod:`repro.determinism`, :mod:`repro.partition`,
+- :mod:`repro.state`, :mod:`repro.determinism`,
   :mod:`repro.faultdetect`, :mod:`repro.gateway` -- supporting
   mechanisms;
 - :mod:`repro.core` -- the :class:`~repro.core.EternalSystem` facade;

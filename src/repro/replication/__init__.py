@@ -11,8 +11,9 @@ Layers (bottom to top):
 - :mod:`rings` -- deterministic placement of object groups onto the
   domain's shard rings (multi-ring topologies);
 - :mod:`replica` -- per-node replica state (logs, tables, dispatcher);
-- :mod:`engine` -- the per-node mechanism engine: ORB interception, style
-  execution, state transfer, failover, partition reconciliation;
+- :mod:`engine` -- the per-node mechanism engine: ORB interception,
+  hosting, one delivery table and gate, and a mixin per envelope family:
+  :mod:`requests`, :mod:`state_sync`, :mod:`reconciliation`;
 - :mod:`manager` -- the FT-CORBA-style ReplicationManager management
   plane (object group creation, membership, degree restoration);
 - :mod:`election` -- deterministic primary/sponsor election from totally

@@ -34,6 +34,15 @@ class ExecutionTask:
         self._runner(self, done)
 
 
+class DispatcherJob:
+    """Zero-cost dispatcher task running ``action(done)`` in dispatch order."""
+
+    cost = 0.0
+
+    def __init__(self, action):
+        self.run = action
+
+
 class LocalReplica:
     """One group member hosted at one node."""
 
@@ -45,9 +54,10 @@ class LocalReplica:
         self.node_id = engine.node_id
         # Replica lifecycle: a bootstrap replica is ready immediately; an
         # added/recovering replica buffers deliveries until it receives a
-        # state capture from the sponsor.
+        # state capture from the sponsor (the engine's delivery gate).
         self.ready = ready
-        self.buffered = []
+        self.buffered = []   # (payload, order_key) held back by the gate
+        self.adopted_sponsor = None   # smallest sponsor adopted while unready
         # A ready replica that detects, at a transitional configuration,
         # that components with divergent histories just merged stalls
         # ordinary request execution until a RECONCILED marker has been
@@ -91,6 +101,9 @@ class LocalReplica:
         # View bookkeeping.
         self.members = ()
         self.previous_members = ()
+        self.view_ring_key = None
+        # Members that moved with us through the last transitional config.
+        self.pre_change_members = None
         # Every node seen hosting this group and not administratively
         # removed since (see ``forget_host``).  Group views are rebuilt
         # incrementally from announces after a ring change, so the current
@@ -112,8 +125,9 @@ class LocalReplica:
         # Give the servant access to the (possibly sanitized) environment,
         # mirroring Eternal's interception of time/random system calls.
         servant.env = self.environment
-        # Incremental transfer in progress (sponsor side).
-        self.transfer_images = None
+        # Blocking transfer in progress (sponsor side): callback and marker.
+        self.sponsor_done = None
+        self.sponsor_marker = None
 
     def _count_suppression(self, category):
         self.engine.ep.emit(category, {"group": self.group})
@@ -199,12 +213,14 @@ class LocalReplica:
         # state, so an adopter that lacks them would silently diverge at
         # its next execution.  Buffered entries are requests held back by
         # a merge stall (see the engine's remerge barrier).
+        from repro.replication.requests import REQUEST
+
         pending = [
             [p.operation_id, p.request_bytes, p.client_group, p.order_key]
             for p in self.table.pending_in_order()
         ]
-        for kind, payload, order_key in self.buffered:
-            if kind == "request" and not payload[5]:
+        for payload, order_key in self.buffered:
+            if payload[0] == REQUEST and not payload[5]:
                 pending.append([payload[3], payload[4], payload[2], order_key])
         state = self.table.capture()
         state["ops_applied"] = self.ops_applied

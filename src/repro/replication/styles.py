@@ -140,12 +140,7 @@ class GroupPolicy:
         self.read_lease_margin = read_lease_margin
 
     def copy(self, **overrides):
-        fields = dict(self.__dict__)
-        fields.update(overrides)
-        policy = GroupPolicy()
-        policy.__dict__.update(fields)
-        ReplicationStyle.validate(policy.style)
-        return policy
+        return GroupPolicy(**dict(self.__dict__, **overrides))
 
     def __repr__(self):
         return "GroupPolicy(style=%s, min=%d, transfer=%s, dispatch=%s)" % (

@@ -176,16 +176,113 @@ def test_premerge_stalled_requests_go_back_into_the_total_order():
               b"before", False, ())
     after = ("ft-request", "ctr", "client/n1", ("c", "client/n1", 9),
              b"after", False, ())
-    replica.buffered = [("request", before, (196, 3)),
-                        ("request", after, (200, 1))]
+    replica.buffered = [(before, (196, 3)), (after, (200, 1))]
     sent = []
     engine.groups.send = lambda groups, payload, **kw: sent.append(payload)
     sponsor = system.engine("n1")
     engine._consider_capture(
         replica, sponsor._capture(sponsor.replica("ctr")), "n1")
-    assert replica.buffered == [("request", after, (200, 1))]
+    assert replica.buffered == [(after, (200, 1))]
     assert [p[0] for p in sent] == ["ft-request", "ft-reconciled"]
     assert sent[0] == before
+
+
+def _deliver(engine, payload, order_key, sender="n1"):
+    """Hand ``engine`` one totally-ordered delivery, as its ring would."""
+    from repro.totem.process_groups import GroupMessage
+
+    engine._on_group_message(
+        GroupMessage(sender, (payload[1],), payload, 64, order_key, False))
+
+
+def _record_handlers(engine, names):
+    """Wrap the engine's delivery handlers; returns the (kind, order key)
+    list every call through them appends to."""
+    seen = []
+    for name in names:
+        handler = getattr(engine, name)
+        setattr(engine, name, lambda replica, payload, order_key, _h=handler: (
+            seen.append((payload[0], order_key)),
+            _h(replica, payload, order_key)))
+    return seen
+
+
+def test_a_joining_replica_replays_its_buffer_through_the_live_handlers():
+    """Each bufferable kind waits at a not-ready replica; once it is ready
+    the buffer goes, in delivery order, through the handlers a live
+    delivery takes."""
+    from repro.workloads import KeyValueStore
+
+    system = system_up()
+    policy = GroupPolicy(style=ReplicationStyle.WARM_PASSIVE,
+                         update_mode="image")
+    system.create_replicated("kv", KeyValueStore, ["n1", "n2"], policy)
+    system.run_for(0.5)
+    sponsor = system.engine("n1")
+    checkpoint = sponsor._capture(sponsor.replica("kv")).as_value()
+    engine = system.engine("n3")
+    engine.host_replica("kv", KeyValueStore(), policy, ready=False)
+    replica = engine.replica("kv")
+    first, second = ("c", "client/n9", 1), ("c", "client/n9", 2)
+    deliveries = [
+        ("ft-request", "kv", "client/n9", first, b"put", False, ()),
+        ("ft-state-update", "kv", first, 1, {"k": "a"}, None, "client/n9"),
+        ("ft-state-update-image", "kv", second, 2, ("set", "k", "b"), None,
+         "client/n9"),
+        ("ft-checkpoint", "kv", checkpoint),
+        ("ft-policy", "kv", {"read_only_skip_update": False}),
+    ]
+    buffered = [(payload, (50, seq))
+                for seq, payload in enumerate(deliveries, start=1)]
+    for payload, order_key in buffered:
+        _deliver(engine, payload, order_key)
+    assert replica.buffered == buffered
+    assert replica.ops_applied == 0 and replica.servant.data == {}
+    seen = _record_handlers(engine, ["_deliver_request", "_deliver_state_update",
+                                     "_deliver_checkpoint", "_apply_policy"])
+    engine._make_ready(replica)
+    assert seen == [(payload[0], order_key) for payload, order_key in buffered]
+    assert replica.buffered == []
+    # Each applied: the updates in turn, then the (empty) checkpoint
+    # state over them, then the policy change.
+    assert system.sim.trace.count("ft.state.update.applied") == 1
+    assert system.sim.trace.count("ft.state.update.image.applied") == 1
+    assert replica.servant.data == {} and replica.ops_since_checkpoint == 0
+    assert replica.policy.read_only_skip_update is False
+    # Ready now: the same kinds apply at once.
+    _deliver(engine, ("ft-policy", "kv", {"checkpoint_interval_ops": 9}),
+             (50, 6))
+    assert seen[-1] == ("ft-policy", (50, 6)) and replica.buffered == []
+    assert replica.policy.checkpoint_interval_ops == 9
+
+
+def test_while_merge_stalled_only_fulfillments_pass_the_gate():
+    from repro.replication import fulfillment_operation_id
+
+    system = system_up()
+    system.create_replicated(
+        "ctr", Counter, ["n1", "n2", "n3"],
+        GroupPolicy(style=ReplicationStyle.WARM_PASSIVE))
+    system.run_for(0.5)
+    engine = system.engine("n3")
+    replica = _merging(system, "n3", ("n3",), 200, ("n1", "n2", "n3"))
+    assert replica.awaiting_merge_capture
+    fulfillment = fulfillment_operation_id(("c", "client/n9", 4), 0)
+    ordinary = ("ft-request", "ctr", "client/n9", ("c", "client/n9", 5),
+                b"req", False, ())
+    policy = ("ft-policy", "ctr", {"checkpoint_interval_ops": 7})
+    fulfilling = ("ft-request", "ctr", "client/n9", fulfillment, b"req",
+                  True, ())
+    for seq, payload in enumerate((ordinary, policy, fulfilling), start=1):
+        _deliver(engine, payload, (200, seq))
+    assert replica.buffered == [(ordinary, (200, 1)), (policy, (200, 2))]
+    assert replica.table.status(fulfillment) == "executing"
+    assert replica.table.status(ordinary[3]) is None
+    assert replica.policy.checkpoint_interval_ops == 50
+    engine._release_merge_stall(replica, "reconciled")
+    assert replica.buffered == []
+    assert replica.table.status(ordinary[3]) == "executing"
+    assert replica.policy.checkpoint_interval_ops == 7
 
 
 def test_client_reply_cache_resolves_late_issuer():

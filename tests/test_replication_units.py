@@ -3,12 +3,6 @@ election, and partition decision logic."""
 
 import pytest
 
-from repro.partition import (
-    FulfillmentPlan,
-    derive_side_representative,
-    divergent_operations,
-    should_adopt_capture,
-)
 from repro.replication import (
     ExecutionContext,
     GroupPolicy,
@@ -22,6 +16,11 @@ from repro.replication import (
     is_primary,
     nested_operation_id,
     top_level_operation_id,
+)
+from repro.replication.reconciliation import (
+    derive_side_representative,
+    divergent_operations,
+    should_adopt_capture,
 )
 
 
@@ -248,6 +247,21 @@ def test_group_policy_validation_and_copy():
     assert policy.style == ReplicationStyle.ACTIVE
 
 
+@pytest.mark.parametrize("field, value", [
+    ("update_mode", "diff"),
+    ("state_transfer", "osmosis"),
+    ("dispatch_policy", "x"),
+    ("read_lease_duration", -1),
+])
+def test_group_policy_copy_validates_like_the_constructor(field, value):
+    """A copy is how a policy change is checked before it is multicast
+    (``send_policy_update``) and applied at every replica."""
+    with pytest.raises(ValueError):
+        GroupPolicy(**{field: value})
+    with pytest.raises(ValueError):
+        GroupPolicy().copy(**{field: value})
+
+
 def test_primary_election():
     assert choose_primary(["n3", "n1", "n2"]) == "n1"
     assert choose_primary([]) is None
@@ -289,8 +303,6 @@ def test_divergent_operations_diff():
     divergent = divergent_operations(journal, their_completed)
     # op1 is known to them; op3 is a fulfillment op; only op2 replays.
     assert divergent == [(op2, b"req2", "cg")]
-    plan = FulfillmentPlan("g", divergent)
-    assert not plan.empty and len(plan) == 1
 
 
 def test_divergent_operations_against_compressed_history():
