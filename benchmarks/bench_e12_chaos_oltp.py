@@ -41,6 +41,7 @@ Exit status is non-zero when any invariant is violated.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import socket
@@ -87,6 +88,28 @@ TRAFFIC_DURATION = 4.0 if _SMOKE else 8.0
 CAMPAIGN_DURATION = 3.0 if _SMOKE else 6.0
 FAILOVER_BOUND = 5.0                   # crash -> next ring install, seconds
 SETTLE = 6.0                           # post-campaign reconciliation window
+
+# The campaign sweep's pinned scale (tests/test_campaign_sweep.py,
+# benchmarks/fingerprints.py): a few seconds of virtual time per seed.
+# Campaign generation derives from the spec's duration and the traffic
+# from rate x duration, so changing any of these re-times every seed.
+SWEEP_SCALE = {
+    "RATE": 6,
+    "TRAFFIC_DURATION": 2.0,
+    "CAMPAIGN_DURATION": 2.0,
+    "SETTLE": 4.0,
+}
+
+
+@contextlib.contextmanager
+def sweep_scale():
+    """Run :func:`run_sim` at :data:`SWEEP_SCALE` inside the block."""
+    saved = {name: globals()[name] for name in SWEEP_SCALE}
+    globals().update(SWEEP_SCALE)
+    try:
+        yield
+    finally:
+        globals().update(saved)
 
 # Asyncio (live-process) mode.
 AIO_REPLICAS = ("r1", "r2", "r3")

@@ -99,11 +99,6 @@ def _rejected(reason):
     return ApplicationError(READ_REJECTED, reason)
 
 
-def is_read_rejection(exc):
-    return (isinstance(exc, ApplicationError)
-            and exc.exc_type == READ_REJECTED)
-
-
 class LocalReadPort(Servant):
     """Per-node servant serving declared reads over plain IIOP."""
 
@@ -176,7 +171,7 @@ class ReadCoordinator:
             reject("no-replica")
         if not replica.ready:
             reject("not-ready")
-        if replica.awaiting_merge_capture:
+        if replica.merge is not None and replica.merge.stalled:
             reject("merge-stall")
         info = interface_of(replica.servant).operations.get(op)
         if info is None or not info.read_only:

@@ -58,31 +58,9 @@ class LocalReplica:
         self.ready = ready
         self.buffered = []   # (payload, order_key) held back by the gate
         self.adopted_sponsor = None   # smallest sponsor adopted while unready
-        # A ready replica that detects, at a transitional configuration,
-        # that components with divergent histories just merged stalls
-        # ordinary request execution until a RECONCILED marker has been
-        # delivered from every host in ``merge_await``: executing before
-        # the sides reconcile would compute replies from a state missing
-        # the other side's operations.
-        self.awaiting_merge_capture = False
-        self.merge_await = set()
-        # The other component's hosts at the transitional configuration
-        # that armed the stall: the only ones a binding capture can come
-        # from.
-        self.merge_outside = set()
-        self.merge_since = 0
-        self.merge_announced = False
-        self.merge_round = None
-        self.merge_stall_timer = None
-        # Non-empty after a merge stall ended without full reconciliation
-        # (the safety timer fired before every RECONCILED marker arrived,
-        # and no primary-side capture was adopted): ``merge_outside`` at
-        # that moment.  While set, this replica's history may still be missing
-        # another component's operations, so ``side_rep`` must not
-        # collapse to the ring minimum -- that would make a late capture
-        # from the true primary side look like our own and be refused --
-        # and nothing it completed counts as stable.
-        self.merge_unreconciled = set()
+        # The merge in progress, stalled or owing a reconciliation
+        # (:class:`~repro.replication.reconciliation.Merge`), or None.
+        self.merge = None
         # True while a resync request (sent after a passive-update gap)
         # awaits its capture; suppresses duplicate requests.
         self.resync_pending = False
@@ -187,8 +165,7 @@ class LocalReplica:
         deliveries are covered by the reconciliation that followed them.
         A degraded group keeps its journal for as long as it is degraded.
         """
-        if (not self.ready or self.awaiting_merge_capture
-                or self.merge_unreconciled):
+        if not self.ready or self.merge is not None:
             return
         stable = self.engine._member_for(self.group).stable_horizon()
         if stable is not None and self.ever_members.issubset(stable[0]):
@@ -199,8 +176,8 @@ class LocalReplica:
         copy of the history is gone, so it no longer holds back stability
         or owes a reconciliation."""
         self.ever_members.discard(node_id)
-        self.merge_outside.discard(node_id)
-        self.merge_unreconciled.discard(node_id)
+        if self.merge is not None:
+            self.merge = self.merge.without(node_id)
 
     # ------------------------------------------------------------------
     # State capture for transfer (three tiers)

@@ -66,3 +66,27 @@ def test_every_envelope_kind_is_documented_with_its_gate(kind):
 def test_no_replication_module_exceeds_the_size_ceiling(name):
     with open(os.path.join(PACKAGE, name), "rb") as handle:
         assert sum(1 for _ in handle) <= MAX_LINES
+
+
+# Merge state is the one record ``replica.merge`` (reconciliation.Merge):
+# no loose merge attribute may come back anywhere else.  The engine's
+# ``merge_stall_timeout`` knob is configuration, not replica state.
+LOOSE_MERGE_STATE = re.compile(
+    r"\bawaiting_merge_capture\b|\.merge_(?!stall_timeout\b)\w+")
+
+
+def test_merge_state_lives_in_one_record_owned_by_reconciliation():
+    source = os.path.dirname(PACKAGE)
+    offenders = []
+    for folder, _dirs, files in os.walk(source):
+        for name in files:
+            path = os.path.join(folder, name)
+            if not name.endswith(".py") or path == reconciliation.__file__:
+                continue
+            with open(path, encoding="utf-8") as handle:
+                for number, line in enumerate(handle, start=1):
+                    if LOOSE_MERGE_STATE.search(line):
+                        offenders.append("%s:%d: %s" % (
+                            os.path.relpath(path, source), number,
+                            line.strip()))
+    assert offenders == []
