@@ -243,6 +243,9 @@ register_category("ft.merge.reconciled.sent", ("group", "node"),
                   "reconciliation marker multicast")
 register_category("ft.merge.reconciled.stale", ("group", "node"),
                   "reconciliation marker from another merge round ignored")
+register_category("ft.merge.push.refused", ("group", "node", "kind"),
+                  "stalled replica refused a pre-merge state push from the "
+                  "other component")
 register_category("ft.merge.stall.released", ("group", "node", "reason", "replay"),
                   "remerge barrier released")
 register_category("ft.fulfillment.sent", ("group",),
