@@ -65,15 +65,18 @@ def leased_system(runtime_kind="sim", seed=0):
     return system, ior
 
 
-def timed_call(system, future, timeout=30.0):
-    """Latency measured at resolution time, not at the polling step.
+def timed_call(system, invoke, timeout=30.0):
+    """Latency of ``invoke()``, measured at resolution time.
 
+    The clock starts before ``invoke`` is called: a local read resolves
+    synchronously inside the call, so its whole cost lies there.
     ``wait_for`` advances the clock in coarse steps; capturing ``now``
     inside the done-callback records the exact (virtual or wall) instant
     the reply resolved, so sub-step latencies are not quantized away.
     """
     runtime = system.runtime
     started = runtime.now
+    future = invoke()
     resolved = []
     future.add_done_callback(lambda _f: resolved.append(runtime.now))
     runtime.wait_for(future, timeout=timeout)
@@ -90,9 +93,9 @@ def measure_latencies(system, ior, reads=READS):
     system.run_for(1.0)  # position beacons reach the backups
     samples = {"ordered": [], "linearizable": [], "bounded_stale": []}
     for _ in range(reads):
-        samples["ordered"].append(timed_call(system, ordered_stub.read()))
-        samples["linearizable"].append(timed_call(system, local_stub.read()))
-        samples["bounded_stale"].append(timed_call(system, stale_stub.read()))
+        samples["ordered"].append(timed_call(system, ordered_stub.read))
+        samples["linearizable"].append(timed_call(system, local_stub.read))
+        samples["bounded_stale"].append(timed_call(system, stale_stub.read))
     engine = system.engine(LEADER)
     assert engine.reads.fallbacks == 0, \
         "local reads fell back; the latency samples are meaningless"

@@ -27,9 +27,7 @@ MODES = ["blocking", "incremental"]
 def run_one(mode, entries, seed=0):
     system = EternalSystem(["s1", "s2", "joiner", CLIENT_NODE], seed=seed).start()
     system.stabilize()
-    policy = GroupPolicy(
-        style=ReplicationStyle.ACTIVE, state_transfer=mode, chunk_bytes=2048
-    )
+    policy = GroupPolicy(style=ReplicationStyle.ACTIVE, state_transfer=mode)
     ior = system.create_replicated("kv", KeyValueStore, ["s1", "s2"], policy)
     system.run_for(0.5)
     stub = system.stub(CLIENT_NODE, ior)

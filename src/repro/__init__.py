@@ -11,9 +11,9 @@ Quick tour of the layers (bottom-up):
   with extended virtual synchrony;
 - :mod:`repro.orb` -- a from-scratch mini-CORBA ORB (CDR, GIOP, IORs,
   POA, stubs);
-- :mod:`repro.interception` -- the GIOP interception point;
 - :mod:`repro.replication` -- the Eternal replication mechanisms (the
-  paper's contribution);
+  paper's contribution), including the GIOP interception point (the
+  engine's ``GroupRouter``, which replaces the ORB's router);
 - :mod:`repro.state`, :mod:`repro.determinism`,
   :mod:`repro.faultdetect`, :mod:`repro.gateway` -- supporting
   mechanisms;

@@ -46,7 +46,6 @@ from repro.orb.ior import IOR, FTGroupProfile, IIOPProfile
 from repro.orb.transport import Acceptor, Connection, TcpTransport
 from repro.orb.poa import POA
 from repro.orb.orb_core import DirectRouter, Future, ORB, Stub, wait_for
-from repro.orb.stubgen import TypedStubBase, generate_stub_class
 from repro.orb.naming import NamingContext
 from repro.orb.events import EventChannel, PushConsumer
 
@@ -90,8 +89,6 @@ __all__ = [
     "ORB",
     "Stub",
     "wait_for",
-    "TypedStubBase",
-    "generate_stub_class",
     "NamingContext",
     "EventChannel",
     "PushConsumer",

@@ -16,12 +16,12 @@ Layers (bottom to top):
   :mod:`requests`, :mod:`state_sync`, :mod:`reconciliation`;
 - :mod:`manager` -- the FT-CORBA-style ReplicationManager management
   plane (object group creation, membership, degree restoration);
-- :mod:`election` -- deterministic primary/sponsor election from totally
-  ordered membership views.
+- :mod:`election` -- deterministic primary election from totally ordered
+  membership views.
 """
 
 from repro.replication.duplicates import OperationRecord, OperationTable
-from repro.replication.election import choose_primary, choose_state_sponsor, is_primary
+from repro.replication.election import choose_primary
 from repro.replication.engine import GroupRouter, ReplicationEngine
 from repro.replication.identifiers import (
     ExecutionContext,
@@ -42,8 +42,6 @@ __all__ = [
     "OperationRecord",
     "OperationTable",
     "choose_primary",
-    "choose_state_sponsor",
-    "is_primary",
     "GroupRouter",
     "ReplicationEngine",
     "ExecutionContext",

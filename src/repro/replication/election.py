@@ -13,18 +13,3 @@ def choose_primary(members):
     """The primary replica's node id for a membership view (or None)."""
     members = sorted(members)
     return members[0] if members else None
-
-
-def choose_state_sponsor(old_members, new_members):
-    """Which member sends state to joiners at a view change.
-
-    The sponsor must already hold the group state, so it is the minimum
-    *surviving* member (present in both views).  Returns None when nobody
-    survives (the group is bootstrapping -- there is no state to send).
-    """
-    survivors = sorted(set(old_members) & set(new_members))
-    return survivors[0] if survivors else None
-
-
-def is_primary(node_id, members):
-    return choose_primary(members) == node_id

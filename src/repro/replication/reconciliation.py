@@ -170,8 +170,9 @@ class MergeReconciliation:
             # history; a view member outside the transitional component
             # (we listed it, but it never installed that ring) needs a
             # capture like any other joiner.
+            stateful = set(replica.members) - replica.unserved
             replica.pre_change_members = (
-                (set(replica.members) & transitional) | {self.node_id})
+                (stateful & transitional) | {self.node_id})
             # A ring change may have cut off an outstanding resync request
             # (or the merge reconciliation now underway supersedes it);
             # re-arm so the next gapped update can retry.
@@ -188,7 +189,7 @@ class MergeReconciliation:
                                  and replica.side_rep != self.node_id
                                  and replica.side_rep not in transitional):
                 replica.side_rep = derive_side_representative(
-                    replica.members, transitional, self.node_id
+                    stateful, transitional, self.node_id
                 )
             # Remerge barrier.  A new-ring member outside our transitional
             # component that we know hosts this group means components with
@@ -257,6 +258,8 @@ class MergeReconciliation:
             needy = joiners - {self.node_id} - pre_change
             if needy and replica.side_rep == self.node_id:
                 self._schedule_sponsorship(replica)
+            else:
+                replica.unserved |= needy
         if replica.ready and ReplicationStyle.is_passive(replica.policy.style):
             old_primary = choose_primary(old) if old else None
             if replica.is_primary and old_primary != self.node_id:

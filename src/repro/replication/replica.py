@@ -82,6 +82,10 @@ class LocalReplica:
         self.view_ring_key = None
         # Members that moved with us through the last transitional config.
         self.pre_change_members = None
+        # Joiners another member is to sponsor whose capture has not been
+        # delivered here yet.  They hold no state: if the sponsor fails
+        # first, a ring change must not count them as sharing our history.
+        self.unserved = set()
         # Every node seen hosting this group and not administratively
         # removed since (see ``forget_host``).  Group views are rebuilt
         # incrementally from announces after a ring change, so the current

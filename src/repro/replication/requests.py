@@ -404,9 +404,8 @@ class RequestProtocol:
         self.ep.emit("ft.op.executed", {"group": replica.group,
                                          "node": self.node_id})
         style = replica.policy.style
-        modifies = self._modifies_state(replica, request)
         if style == ReplicationStyle.WARM_PASSIVE and replica.is_primary:
-            if modifies or not replica.policy.read_only_skip_update:
+            if self._modifies_state(replica, request):
                 self._multicast_state_update(replica, operation_id,
                                              pending.client_group, reply_bytes)
         elif style == ReplicationStyle.COLD_PASSIVE and replica.is_primary:

@@ -18,6 +18,9 @@ STATE_END = "ft-state-end"
 RESYNC = "ft-resync"
 RESYNC_STATE = "ft-resync-state"
 
+#: Chunk size of an incremental state transfer, in bytes.
+CHUNK_BYTES = 2048
+
 
 class StateSync:
     """Engine mixin: the state family (see module docstring)."""
@@ -196,7 +199,7 @@ class StateSync:
                 size=len(encoded) + _ENVELOPE_OVERHEAD,
             )
         else:
-            transfer = IncrementalTransfer(value, replica.policy.chunk_bytes)
+            transfer = IncrementalTransfer(value, CHUNK_BYTES)
             transfer.stats.started_at = self.ep.now
             member = self._member_for(replica.group)
             for frame in transfer.framed_chunks():
@@ -220,6 +223,7 @@ class StateSync:
 
     def _deliver_state_full(self, replica, payload, order_key):
         _, group, value, sponsor, marker = payload
+        replica.unserved.clear()
         if sponsor == self.node_id:
             done = replica.sponsor_done
             if done is not None and replica.sponsor_marker == marker:
@@ -247,5 +251,6 @@ class StateSync:
         if assembler is None or not assembler.complete():
             self.ep.emit("ft.state.chunk.incomplete", {"group": group})
             return
+        replica.unserved.clear()
         value = assembler.assemble()
         self._consider_capture(replica, FullStateCapture.from_value(value), sponsor)

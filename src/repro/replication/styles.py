@@ -69,15 +69,14 @@ class GroupPolicy:
             checkpoint every N state-modifying operations (bounding log
             replay at failover).  0 disables periodic checkpoints.
         state_transfer: ``"blocking"`` or ``"incremental"`` -- how new
-            members are brought current.
+            members are brought current.  An incremental transfer ships
+            the capture in ``state_sync.CHUNK_BYTES`` pieces.
         update_mode: ``"full"`` pushes the complete application state
-            after each passive-primary operation; ``"image"`` ships the
-            servant-provided post-image of the update instead (the paper's
-            postimage mechanism), falling back to full state when the
-            servant cannot describe the update.
-        chunk_bytes: chunk size for incremental transfers.
-        read_only_skip_update: skip the passive state push after operations
-            declared read_only in the interface.
+            after each state-modifying passive-primary operation (one the
+            interface declares read_only pushes nothing); ``"image"``
+            ships the servant-provided post-image of the update instead
+            (the paper's postimage mechanism), falling back to full state
+            when the servant cannot describe the update.
         dispatch_policy: ``"deterministic"`` (Eternal's enforced serial
             dispatch) or ``"concurrent"`` (the E9 ablation's multithreaded
             regime).
@@ -92,8 +91,7 @@ class GroupPolicy:
         read_lease_duration: lease validity window in seconds, measured
             from the moment the grant request was *sent* (so the holder's
             window is conservative regardless of network delay).
-        read_lease_interval: renewal cadence; defaults to a third of the
-            duration so two renewals can be lost before the lease lapses.
+            Renewals run every :attr:`read_lease_interval`.
         read_lease_margin: clock-skew safety margin.  The holder treats a
             grant as expired ``margin`` seconds early; the granter holds
             its promise ``margin`` seconds longer.
@@ -106,13 +104,10 @@ class GroupPolicy:
         checkpoint_interval_ops=50,
         state_transfer="blocking",
         update_mode="full",
-        chunk_bytes=4096,
-        read_only_skip_update=True,
         dispatch_policy="deterministic",
         sanitize_environment=True,
         read_leases=False,
         read_lease_duration=0.4,
-        read_lease_interval=None,
         read_lease_margin=0.05,
     ):
         self.style = ReplicationStyle.validate(style)
@@ -126,18 +121,19 @@ class GroupPolicy:
         self.checkpoint_interval_ops = checkpoint_interval_ops
         self.state_transfer = state_transfer
         self.update_mode = update_mode
-        self.chunk_bytes = chunk_bytes
-        self.read_only_skip_update = read_only_skip_update
         self.dispatch_policy = dispatch_policy
         self.sanitize_environment = sanitize_environment
         if read_lease_duration <= 0:
             raise ValueError("read_lease_duration must be positive")
         self.read_leases = read_leases
         self.read_lease_duration = read_lease_duration
-        self.read_lease_interval = (read_lease_interval
-                                    if read_lease_interval is not None
-                                    else read_lease_duration / 3.0)
         self.read_lease_margin = read_lease_margin
+
+    @property
+    def read_lease_interval(self):
+        """Renewal cadence: a third of the duration, so two renewals can
+        be lost before the lease lapses."""
+        return self.read_lease_duration / 3.0
 
     def copy(self, **overrides):
         return GroupPolicy(**dict(self.__dict__, **overrides))

@@ -7,8 +7,6 @@ returned state must be a CDR-marshalable value (see :mod:`repro.orb.cdr`)
 so its transfer cost is measurable on the simulated network.
 """
 
-from repro.orb.cdr import encode_value
-
 
 class Checkpointable:
     """Mixin declaring the state-capture contract for servants.
@@ -30,15 +28,3 @@ class Checkpointable:
             "%s must implement set_state()" % type(self).__name__
         )
 
-
-def state_size_of(servant_or_state):
-    """Marshaled size, in bytes, of a servant's state (or a raw state value).
-
-    Used by the benchmarks to attribute network cost to state transfers.
-    """
-    state = (
-        servant_or_state.get_state()
-        if isinstance(servant_or_state, Checkpointable)
-        else servant_or_state
-    )
-    return len(encode_value(state))

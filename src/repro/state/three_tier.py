@@ -55,22 +55,3 @@ class FullStateCapture:
             self.position, self.size_bytes(),
         )
 
-
-def capture_full_state(servant, orb_state, infrastructure_state, position):
-    """Capture all three tiers from a live replica."""
-    return FullStateCapture(
-        application=servant.get_state(),
-        orb=dict(orb_state),
-        infrastructure=dict(infrastructure_state),
-        position=position,
-    )
-
-
-def restore_full_state(servant, capture):
-    """Restore the application tier; returns (orb_state, infra_state).
-
-    The caller (the replication mechanism) reinstates the other two tiers
-    into its own tables -- they do not belong to the servant.
-    """
-    servant.set_state(capture.application)
-    return dict(capture.orb), dict(capture.infrastructure)

@@ -1,18 +1,12 @@
-"""State transfer mechanisms: blocking and incremental.
+"""Incremental (chunked) state transfer.
 
-Two mechanisms, following the papers:
-
-- **Blocking transfer**: suspend operations on the object, marshal the
-  whole state, send it, resume.  Simple, correct, and appropriate for
-  small states; its cost is a stall proportional to the state size.
-
-- **Incremental (non-blocking) transfer**: the source keeps processing
-  operations.  The existing state is sent in chunks; every update applied
-  during the transfer is logged as an image (a *pre-image* for active
-  replication, a *post-image* for passive) and the images are sent after
-  the chunks.  The receiver reconstructs a consistent state by applying
-  the images over the possibly-torn chunked snapshot, then replays the
-  operations it logged while the transfer was in progress.
+The blocking transfer ships the whole capture in one message while the
+sponsor processes nothing (see ``replication/state_sync.py``).  The
+incremental transfer lets the sponsor keep processing operations: the
+capture is encoded whole when the transfer starts and then cut into
+chunks, so the chunked snapshot is never torn and the receiver only
+reassembles it; operations ordered after the sponsor's capture reach the
+joiner through the ordinary delivery stream.
 
 These classes are mechanism objects: the replication layer feeds them and
 ships their messages through the group communication system.  They are
@@ -20,56 +14,8 @@ deliberately transport-agnostic so they can be unit-tested standalone.
 """
 
 from repro.orb.cdr import decode_value, encode_value
-from repro.wire.codec import (
-    KIND_STATE_CHUNK,
-    KIND_STATE_IMAGE,
-    decode_one,
-    encode,
-    register,
-)
+from repro.wire.codec import KIND_STATE_CHUNK, decode_one, encode, register
 from repro.wire.framing import WireFormatError
-
-
-@register(KIND_STATE_IMAGE, "state-image")
-class StateImage:
-    """An update image logged during an incremental transfer.
-
-    ``kind`` is ``"pre"`` or ``"post"``; ``key`` identifies the updated
-    part of the state; ``value`` is the part's value before (pre) or after
-    (post) the update.
-    """
-
-    __slots__ = ("kind", "key", "value", "position")
-
-    def __init__(self, kind, key, value, position):
-        if kind not in ("pre", "post"):
-            raise ValueError("image kind must be 'pre' or 'post'")
-        self.kind = kind
-        self.key = key
-        self.value = value
-        self.position = position
-
-    def encode_wire(self, enc):
-        enc.octet(0 if self.kind == "pre" else 1)
-        enc.value(self.key).value(self.value)
-        enc.ulong(self.position)
-
-    @classmethod
-    def decode_wire(cls, dec):
-        kind = "pre" if dec.octet() == 0 else "post"
-        return cls(kind, dec.value(), dec.value(), dec.ulong())
-
-    def as_value(self):
-        """A CDR-marshalable representation (for envelope payloads)."""
-        return [self.kind, self.key, self.value, self.position]
-
-    @classmethod
-    def from_value(cls, value):
-        kind, key, val, position = value
-        return cls(kind, key, val, position)
-
-    def __repr__(self):
-        return "StateImage(%s, %s, #%d)" % (self.kind, self.key, self.position)
 
 
 @register(KIND_STATE_CHUNK, "state-chunk")
@@ -103,14 +49,12 @@ class TransferStats:
     def __init__(self):
         self.chunks = 0
         self.chunk_bytes = 0
-        self.images = 0
-        self.image_bytes = 0
         self.started_at = None
         self.finished_at = None
 
     @property
     def total_bytes(self):
-        return self.chunk_bytes + self.image_bytes
+        return self.chunk_bytes
 
     @property
     def duration(self):
@@ -132,39 +76,22 @@ class TransferStats:
             metrics.histogram(prefix + ".duration").record(self.duration)
 
     def __repr__(self):
-        return "TransferStats(chunks=%d, images=%d, bytes=%d)" % (
-            self.chunks, self.images, self.total_bytes,
+        return "TransferStats(chunks=%d, bytes=%d)" % (
+            self.chunks, self.total_bytes,
         )
 
 
-class BlockingTransfer:
-    """Whole-state capture/restore; the object must be quiescent."""
-
-    @staticmethod
-    def capture(servant):
-        """Marshal the servant's full state; returns (bytes, size)."""
-        data = encode_value(servant.get_state())
-        return data, len(data)
-
-    @staticmethod
-    def apply(servant, data):
-        """Restore a servant from a :meth:`capture` payload."""
-        servant.set_state(decode_value(data))
-
-
 class IncrementalTransfer:
-    """Chunked transfer with logged update images (source side).
+    """Chunked transfer of one encoded capture (source side).
 
     Usage (source)::
 
-        transfer = IncrementalTransfer(servant.get_state(), chunk_size=4096)
-        for chunk in transfer.chunks():      # ship each chunk
+        transfer = IncrementalTransfer(capture_value, chunk_size=4096)
+        for frame in transfer.framed_chunks():   # ship each chunk
             ...
-        # while shipping, forward record_update() images as they happen
-        images = transfer.drain_images()
 
     Usage (sink): accumulate chunks into :class:`IncrementalAssembler`,
-    then apply images, then replay locally-logged operations.
+    then :meth:`~IncrementalAssembler.assemble` the capture.
     """
 
     def __init__(self, state, chunk_size=4096):
@@ -172,8 +99,6 @@ class IncrementalTransfer:
             raise ValueError("chunk_size must be positive")
         self.snapshot = encode_value(state)
         self.chunk_size = chunk_size
-        self.images = []
-        self._position = 0
         self.stats = TransferStats()
 
     def chunk_count(self):
@@ -193,38 +118,13 @@ class IncrementalTransfer:
         for index, total, chunk in self.chunks():
             yield encode(StateChunk(index, total, chunk))
 
-    def record_update(self, kind, key, value):
-        """Log an update image applied while the transfer is in progress."""
-        self._position += 1
-        image = StateImage(kind, key, value, self._position)
-        self.images.append(image)
-        self.stats.images += 1
-        self.stats.image_bytes += len(encode_value(value)) + len(encode_value(key))
-        return image
-
-    def drain_images(self):
-        """Return and clear the logged images, in order."""
-        images, self.images = self.images, []
-        return images
-
 
 class IncrementalAssembler:
-    """Sink side of an incremental transfer: reassemble, then patch.
-
-    The assembled snapshot may be internally inconsistent (the source kept
-    processing while chunking); applying the images repairs it:
-
-    - post-images simply overwrite the key with the value after the update;
-    - pre-images identify keys whose in-snapshot value may reflect a later
-      update; the caller replays the corresponding operations after
-      restoring, so the pre-image restores the value from *before* the
-      update and the replay re-applies it deterministically.
-    """
+    """Sink side of an incremental transfer: reassemble the capture."""
 
     def __init__(self):
         self._chunks = {}
         self._total = None
-        self.patched_keys = []
 
     def add_chunk(self, index, total, data):
         """Store one chunk; returns True when all chunks are present."""
@@ -250,17 +150,3 @@ class IncrementalAssembler:
                              % (len(self._chunks), self._total))
         data = b"".join(self._chunks[i] for i in range(self._total))
         return decode_value(data)
-
-    def apply_images(self, state, images):
-        """Patch an assembled dict-state with update images, in order."""
-        if not isinstance(state, dict):
-            if images:
-                raise ValueError("image patching requires a dict state")
-            return state
-        for image in sorted(images, key=lambda im: im.position):
-            if image.value is None and image.kind == "pre":
-                state.pop(image.key, None)
-            else:
-                state[image.key] = image.value
-            self.patched_keys.append(image.key)
-        return state

@@ -129,8 +129,6 @@ register_category("orb.profile.failover", ("from", "remaining"),
                   "IIOP profile failed; trying the next profile")
 register_category("orb.dispatch.error", ("op", "error"),
                   "servant raised during dispatch")
-register_category("orb.intercept", ("op", "node"),
-                  "encoded request passed the interception point")
 
 # Totem ordering protocol.  ``ring_id`` on these categories is the shard
 # ring the emitting processor belongs to (0 in single-ring topologies),

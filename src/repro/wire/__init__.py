@@ -9,7 +9,6 @@ sizes and a future real-socket backend only has to move the bytes.
 
 from repro.wire.codec import (
     KIND_STATE_CHUNK,
-    KIND_STATE_IMAGE,
     KIND_TCP_ACK,
     KIND_TCP_DATA,
     KIND_TCP_FIN,
@@ -80,5 +79,4 @@ __all__ = [
     "KIND_TCP_ACK",
     "KIND_TCP_FIN",
     "KIND_STATE_CHUNK",
-    "KIND_STATE_IMAGE",
 ]

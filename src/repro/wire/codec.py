@@ -49,7 +49,8 @@ KIND_TCP_FIN = 0x24
 
 # State transfer (0x30--0x3F).
 KIND_STATE_CHUNK = 0x30
-KIND_STATE_IMAGE = 0x31
+# 0x31 carried the logged update image of an incremental transfer; retired
+# like 0x17/0x18 -- a datagram of this kind is an unknown-kind drop.
 
 _CODECS = {}      # kind -> (name, cls)
 _KIND_OF = {}     # cls -> kind

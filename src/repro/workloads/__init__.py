@@ -21,11 +21,7 @@ from repro.workloads.apps import (
     Inventory,
     KeyValueStore,
 )
-from repro.workloads.generators import (
-    ClosedLoopClient,
-    OpenLoopGenerator,
-    RequestRecord,
-)
+from repro.workloads.generators import ClosedLoopClient, RequestRecord
 from repro.workloads.oltp import (
     DEFAULT_MIX,
     READ_MIX,
@@ -49,7 +45,6 @@ __all__ = [
     "Inventory",
     "KeyValueStore",
     "ClosedLoopClient",
-    "OpenLoopGenerator",
     "RequestRecord",
     "AccountsService",
     "CatalogService",

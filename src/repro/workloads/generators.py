@@ -95,63 +95,3 @@ class ClosedLoopClient:
     def errors(self):
         return [r.error for r in self.records if r.error is not None]
 
-
-class OpenLoopGenerator:
-    """Issues requests at a fixed or Poisson rate, ignoring completions.
-
-    Used for throughput experiments: the offered load is controlled, and
-    completions are recorded as they come.
-    """
-
-    def __init__(self, sim, stub, request_factory, rate, duration,
-                 poisson=False, rng_stream="workload.arrivals"):
-        self.sim = sim
-        self.stub = stub
-        self.request_factory = request_factory
-        self.rate = rate
-        self.duration = duration
-        self.poisson = poisson
-        self.rng_stream = rng_stream
-        self.records = []
-        self._index = 0
-        self._deadline = None
-
-    def start(self):
-        self._deadline = self.sim.now + self.duration
-        self._schedule_next()
-        return self
-
-    def _interval(self):
-        if self.poisson:
-            return self.sim.rng.expovariate(self.rng_stream, self.rate)
-        return 1.0 / self.rate
-
-    def _schedule_next(self):
-        arrival = self.sim.now + self._interval()
-        if arrival > self._deadline:
-            return
-        self.sim.schedule_at(arrival, self._fire, "workload.arrival")
-
-    def _fire(self):
-        operation, args = self.request_factory(self._index)
-        self._index += 1
-        record = RequestRecord(operation, args, self.sim.now)
-        self.records.append(record)
-        future = getattr(self.stub, operation)(*args)
-
-        def complete(fut):
-            record.complete_time = self.sim.now
-            if fut.exception() is not None:
-                record.error = fut.exception()
-            else:
-                record.result = fut.result()
-
-        future.add_done_callback(complete)
-        self._schedule_next()
-
-    def completed(self):
-        return [r for r in self.records if r.ok]
-
-    def throughput(self):
-        """Completed requests per virtual second over the run duration."""
-        return len(self.completed()) / self.duration if self.duration else 0.0

@@ -25,9 +25,8 @@ SURFACE = {
     AsyncioRuntime: ["seed", "loop", "host"],
     GroupPolicy: [
         "style", "min_replicas", "checkpoint_interval_ops", "state_transfer",
-        "update_mode", "chunk_bytes", "read_only_skip_update",
-        "dispatch_policy", "sanitize_environment", "read_leases",
-        "read_lease_duration", "read_lease_interval", "read_lease_margin",
+        "update_mode", "dispatch_policy", "sanitize_environment",
+        "read_leases", "read_lease_duration", "read_lease_margin",
     ],
     EternalSystem: [
         "node_ids", "seed", "profile", "totem_config", "domain", "runtime",
@@ -53,7 +52,7 @@ def test_config_flags_hygiene_number():
     """``repo.config_flags`` as the repo benchmark counts it."""
     flags = sum(len(SURFACE[cls])
                 for cls in (TotemConfig, GroupPolicy, AsyncioRuntime))
-    assert flags <= 28
+    assert flags <= 24
 
 
 @pytest.mark.parametrize("config", [
@@ -71,3 +70,12 @@ def test_the_representatives_waits_stay_below_the_retransmit_timeout(config):
     for name in ("idle_hold", "min_rotation"):
         with pytest.raises(AttributeError):
             setattr(config, name, 1.0)      # derived, not a knob
+
+
+def test_the_read_lease_interval_is_derived_from_the_duration():
+    policy = GroupPolicy(read_lease_duration=0.6)
+    assert policy.read_lease_interval == pytest.approx(0.2)
+    assert policy.copy(read_lease_duration=0.3).read_lease_interval \
+        == pytest.approx(0.1)
+    with pytest.raises(AttributeError):
+        policy.read_lease_interval = 1.0    # derived, not a knob

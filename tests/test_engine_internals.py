@@ -1,6 +1,7 @@
 """White-box tests of replication-engine mechanisms."""
 
 from repro.core import EternalSystem
+from repro.orb import RequestMessage, decode_message
 from repro.replication import GroupPolicy, ReplicationStyle
 from repro.workloads import Counter
 
@@ -27,6 +28,7 @@ def test_request_retry_recovers_a_dropped_send():
     def lossy_send(groups, payload, size=64, guarantee="agreed", **kwargs):
         if payload[0] == "ft-request" and dropped["count"] == 0:
             dropped["count"] += 1
+            dropped["payload"] = payload
             return  # swallow the first request silently
         real_send(groups, payload, size=size, guarantee=guarantee, **kwargs)
 
@@ -35,6 +37,11 @@ def test_request_retry_recovers_a_dropped_send():
     result = system.call(stub.increment(5), timeout=30.0)
     assert result == 5
     assert dropped["count"] == 1
+    # The diverted stream is genuine GIOP: the envelope carries the bytes
+    # the ORB encoded for the wire, its own Request message.
+    request = decode_message(dropped["payload"][4])
+    assert isinstance(request, RequestMessage)
+    assert request.operation == "increment"
     assert system.sim.trace.count("ft.request.retry") >= 1
     # Exactly-once despite the retry machinery.
     assert set(system.states_of("ctr").values()) == {5}
@@ -231,7 +238,7 @@ def test_a_joining_replica_replays_its_buffer_through_the_live_handlers():
         ("ft-state-update-image", "kv", second, 2, ("set", "k", "b"), None,
          "client/n9"),
         ("ft-checkpoint", "kv", checkpoint),
-        ("ft-policy", "kv", {"read_only_skip_update": False}),
+        ("ft-policy", "kv", {"read_lease_margin": 0.1}),
     ]
     buffered = [(payload, (50, seq))
                 for seq, payload in enumerate(deliveries, start=1)]
@@ -249,7 +256,7 @@ def test_a_joining_replica_replays_its_buffer_through_the_live_handlers():
     assert system.sim.trace.count("ft.state.update.applied") == 1
     assert system.sim.trace.count("ft.state.update.image.applied") == 1
     assert replica.servant.data == {} and replica.ops_since_checkpoint == 0
-    assert replica.policy.read_only_skip_update is False
+    assert replica.policy.read_lease_margin == 0.1
     # Ready now: the same kinds apply at once.
     _deliver(engine, ("ft-policy", "kv", {"checkpoint_interval_ops": 9}),
              (50, 6))

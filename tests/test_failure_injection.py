@@ -23,16 +23,18 @@ def test_sponsor_crash_during_state_transfer():
     system = fresh_system(["n1", "n2", "n3"])
     ior = system.create_replicated(
         "kv", KeyValueStore, ["n1", "n2"],
-        GroupPolicy(style=ReplicationStyle.ACTIVE, state_transfer="incremental",
-                    chunk_bytes=512),
+        GroupPolicy(style=ReplicationStyle.ACTIVE, state_transfer="incremental"),
     )
     system.run_for(0.5)
     stub = system.stub("n3", ior)
-    system.call(stub.preload(200, 128), timeout=120.0)
+    system.call(stub.preload(400, 128), timeout=120.0)
+    captures = system.sim.trace.count("ft.state.full.sent")
     system.manager.add_member("kv", "n3")
-    # Kill the sponsor (n1, lowest surviving member) almost immediately,
-    # likely mid-chunk-stream.
+    # Kill the sponsor (n1, lowest surviving member) after it sent the
+    # capture but before the joiner could adopt it.
     system.run_for(0.004)
+    assert system.sim.trace.count("ft.state.full.sent") == captures + 1
+    assert not system.engine("n3").replica("kv").ready
     system.crash("n1")
     system.run_for(10.0)
     system.stabilize()
@@ -40,6 +42,8 @@ def test_sponsor_crash_during_state_transfer():
     replica = system.engine("n3").replica("kv")
     assert replica is not None and replica.ready
     assert replica.servant.data == system.engine("n2").replica("kv").servant.data
+    # n2 sponsored a second capture after the view change.
+    assert system.sim.trace.count("ft.state.full.sent") == captures + 2
 
 
 def test_joiner_crash_during_state_transfer():

@@ -80,7 +80,8 @@ def _replica():
     return SimpleNamespace(
         group="ctr", ready=True, members=("n1", "n2", "n3"),
         ever_members={"n1", "n2", "n3"}, side_rep="n1", merge=None,
-        buffered=[], pre_change_members=None, resync_pending=False)
+        buffered=[], pre_change_members=None, resync_pending=False,
+        unserved=set())
 
 
 def _start(phase):

@@ -1,14 +1,11 @@
-"""Coverage for smaller surfaces: typed stubs, POA details, stub checks,
-IDL introspection, locate over the replication router."""
+"""Coverage for smaller surfaces: POA details, stub checks, IDL
+introspection, locate over the replication router."""
 
 import pytest
 
 from repro.core import EternalSystem
 from repro.orb import ORB, BadOperation
 from repro.orb.idl import Servant, interface_of, operation
-from repro.orb.orb_core import wait_for
-from repro.orb.stubgen import generate_stub_class
-from repro.replication import GroupPolicy, ReplicationStyle
 from repro.simnet import Network, Simulator
 from repro.workloads import Counter
 
@@ -19,50 +16,6 @@ def make_pair():
     server = ORB(net, net.add_node("server"))
     client = ORB(net, net.add_node("client"))
     return sim, net, server, client
-
-
-# ----------------------------------------------------------------------
-# Typed stub generation
-# ----------------------------------------------------------------------
-
-def test_generated_stub_invokes():
-    sim, net, server, client = make_pair()
-    ior = server.poa.activate(Counter())
-    CounterStub = generate_stub_class(Counter)
-    stub = CounterStub(client, ior)
-    assert wait_for(sim, stub.increment(2)) == 2
-    assert wait_for(sim, stub.read()) == 2
-
-
-def test_generated_stub_has_named_methods_and_docs():
-    CounterStub = generate_stub_class(Counter)
-    assert CounterStub.__name__ == "CounterStub"
-    assert callable(CounterStub.increment)
-    assert "read-only" in CounterStub.read.__doc__
-    assert "oneway" in CounterStub.poke.__doc__
-    with pytest.raises(AttributeError):
-        CounterStub.no_such_operation  # noqa: B018
-
-
-def test_generated_stub_oneway_resolves_immediately():
-    sim, net, server, client = make_pair()
-    ior = server.poa.activate(Counter())
-    stub = generate_stub_class(Counter)(client, ior.to_string())
-    future = stub.poke()
-    assert future.done() and future.result() is None
-    sim.run_for(0.5)
-    assert wait_for(sim, stub.read()) == 1
-
-
-def test_generated_stub_works_on_group_reference():
-    system = EternalSystem(["n1", "n2", "n3"]).start()
-    system.stabilize()
-    ior = system.create_replicated(
-        "ctr", Counter, ["n1", "n2"], GroupPolicy(style=ReplicationStyle.ACTIVE)
-    )
-    system.run_for(0.5)
-    stub = generate_stub_class(Counter)(system.nodes["n3"].orb, ior)
-    assert system.call(stub.increment(4)) == 4
 
 
 # ----------------------------------------------------------------------

@@ -11,9 +11,7 @@ from repro.replication import (
     OperationTable,
     ReplicationStyle,
     choose_primary,
-    choose_state_sponsor,
     fulfillment_operation_id,
-    is_primary,
     nested_operation_id,
     top_level_operation_id,
 )
@@ -265,18 +263,36 @@ def test_group_policy_copy_validates_like_the_constructor(field, value):
 def test_primary_election():
     assert choose_primary(["n3", "n1", "n2"]) == "n1"
     assert choose_primary([]) is None
-    assert is_primary("n1", ["n1", "n2"])
-    assert not is_primary("n2", ["n1", "n2"])
-
-
-def test_state_sponsor_must_survive():
-    assert choose_state_sponsor(["n1", "n2"], ["n2", "n3"]) == "n2"
-    assert choose_state_sponsor([], ["n1"]) is None
 
 
 # ----------------------------------------------------------------------
 # Partition decision logic
 # ----------------------------------------------------------------------
+
+def test_state_sponsor_must_survive():
+    """After a ring change the sponsor (the side representative) is the
+    least member that moved with us *and* holds state.  Here n1 joined
+    and its sponsor n2 crashed before n1's capture was delivered: n1 is
+    neither the representative nor counted as sharing our history, so
+    the next view sponsors it again."""
+    from repro.core import EternalSystem
+    from repro.totem.events import TransitionalConfiguration
+    from repro.workloads import Counter
+
+    system = EternalSystem(["n1", "n2", "n3", "n4"]).start()
+    system.stabilize()
+    system.create_replicated("ctr", Counter, ["n2", "n3", "n4"],
+                             GroupPolicy(style=ReplicationStyle.ACTIVE))
+    system.run_for(0.5)
+    engine = system.engine("n3")
+    replica = engine.replica("ctr")
+    replica.members = ("n1", "n2", "n3", "n4")
+    replica.unserved = {"n1"}
+    engine._on_ring_config(engine._ring_of("ctr"), TransitionalConfiguration(
+        (4, ()), (8, ("n1", "n3", "n4")), ["n1", "n3", "n4"]))
+    assert replica.side_rep == "n3"
+    assert replica.pre_change_members == {"n3", "n4"}
+
 
 def test_side_representative_from_transitional():
     assert derive_side_representative(

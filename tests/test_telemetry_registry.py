@@ -1,4 +1,5 @@
-"""Registry lint: every emit/span call site uses a registered name.
+"""Registry lint: every emit/span call site uses a registered name, and
+every registered name still has a call site.
 
 Walks the source tree statically so a misspelled or unregistered
 category fails CI even if no test exercises the emitting code path.
@@ -75,6 +76,22 @@ def test_every_span_mark_point_is_declared():
     assert sites, "expected span_mark call sites under src/"
     unknown = [site for site in sites if site[2] not in events.SPAN_POINTS]
     assert not unknown
+
+
+def test_every_registered_category_is_still_emitted_somewhere():
+    """The other direction: a category whose last emitter was deleted
+    leaves the registry too."""
+    registry = os.path.join(SRC_ROOT, "repro", "telemetry", "events.py")
+    text = ""
+    for path in _source_files():
+        if os.path.abspath(path) != os.path.abspath(registry):
+            with open(path) as handle:
+                text += handle.read()
+    dynamic = set(_expand_dynamic("tcp.segment.%s"))
+    orphans = [category for category in events.registered_categories()
+               if '"%s"' % category not in text and category not in dynamic]
+    assert not orphans, (
+        "registered categories nothing under src/ emits: %r" % (orphans,))
 
 
 def test_validate_accepts_registered_emissions():

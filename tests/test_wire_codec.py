@@ -18,7 +18,7 @@ from repro.orb.transport import (
     SynAckSegment,
     SynSegment,
 )
-from repro.state.transfer import StateChunk, StateImage
+from repro.state.transfer import StateChunk
 from repro.totem.messages import (
     CommitToken,
     DataMessage,
@@ -161,13 +161,6 @@ def _strategies():
             total=ulong,
             data=st.binary(max_size=100),
         ),
-        StateImage: st.builds(
-            StateImage,
-            kind=st.sampled_from(["pre", "post"]),
-            key=st.text(max_size=12),
-            value=value,
-            position=ulong,
-        ),
     }
 
 
@@ -293,11 +286,13 @@ def test_unknown_kind_rejected():
         decode_payload(encode_frame(0x7F, b""))
 
 
-@pytest.mark.parametrize("kind", [0x17, 0x18], ids=["eager", "order-stub"])
+@pytest.mark.parametrize("kind", [0x17, 0x18, 0x31],
+                         ids=["eager", "order-stub", "state-image"])
 def test_retired_totem_kinds_are_counted_drops_not_reused(kind):
-    """0x17/0x18 carried the deleted eager-dissemination frames.  The
-    numbers stay unassigned, so a datagram from an old sender is an
-    unknown kind: one ``totem.wire.error``, nothing dispatched."""
+    """0x17/0x18 carried the deleted eager-dissemination frames and 0x31
+    the deleted logged update image.  The numbers stay unassigned, so a
+    datagram from an old sender is an unknown kind: one
+    ``totem.wire.error``, nothing dispatched."""
     from repro.totem import TotemCluster
 
     assert kind not in registered_kinds()

@@ -14,7 +14,6 @@ from repro.workloads import (
     EchoServer,
     Inventory,
     KeyValueStore,
-    OpenLoopGenerator,
 )
 
 
@@ -67,31 +66,6 @@ def test_closed_loop_records_errors():
     assert client.finished
     assert len(client.errors()) == 3
     assert client.latencies() == []
-
-
-def test_open_loop_generator_fixed_rate():
-    sim, stub = serve(EchoServer())
-    generator = OpenLoopGenerator(
-        sim, stub, lambda i: ("echo", (i,)), rate=100.0, duration=1.0
-    ).start()
-    sim.run_for(3.0)
-    assert 90 <= len(generator.records) <= 100
-    assert generator.throughput() == pytest.approx(len(generator.completed()), rel=0.01)
-
-
-def test_open_loop_generator_poisson_deterministic_per_seed():
-    def arrivals(seed):
-        sim, stub = serve(EchoServer())
-        sim.rng = Simulator(seed=seed).rng
-        generator = OpenLoopGenerator(
-            sim, stub, lambda i: ("echo", (i,)), rate=50.0, duration=1.0,
-            poisson=True,
-        ).start()
-        sim.run_for(3.0)
-        return [r.send_time for r in generator.records]
-
-    assert arrivals(7) == arrivals(7)
-    assert arrivals(7) != arrivals(8)
 
 
 def test_servant_state_round_trips():
